@@ -150,8 +150,8 @@ ProtocolChecker::onTimingChange(std::uint32_t ch, Tick effective,
 }
 
 void
-ProtocolChecker::record(ChannelState &cs, const DramCmdEvent &ev,
-                        const char *rule, std::string detail)
+ProtocolChecker::record(const DramCmdEvent &ev, const char *rule,
+                        std::string detail)
 {
     ProtocolViolation v;
     v.rule = rule;
@@ -161,52 +161,11 @@ ProtocolChecker::record(ChannelState &cs, const DramCmdEvent &ev,
     v.bank = ev.bank;
     v.cmd = ev.cmd;
     v.detail = std::move(detail);
-    ++cs.violations;
-    if (cs.samples.size() < MaxSamples)
-        cs.samples.push_back(v);
+    ++violations_;
+    if (samples_.size() < MaxSamples)
+        samples_.push_back(v);
     if (strict_)
         fatal("MEMSCALE_STRICT: %s", v.str().c_str());
-}
-
-std::uint64_t
-ProtocolChecker::violations() const
-{
-    std::uint64_t n = 0;
-    for (const ChannelState &cs : channels_)
-        n += cs.violations;
-    return n;
-}
-
-std::uint64_t
-ProtocolChecker::commandsChecked() const
-{
-    std::uint64_t n = 0;
-    for (const ChannelState &cs : channels_)
-        n += cs.commands;
-    return n;
-}
-
-std::uint64_t
-ProtocolChecker::relocksSeen() const
-{
-    std::uint64_t n = 0;
-    for (const ChannelState &cs : channels_)
-        n += cs.relockCount;
-    return n;
-}
-
-const std::vector<ProtocolViolation> &
-ProtocolChecker::samples() const
-{
-    mergedSamples_.clear();
-    for (const ChannelState &cs : channels_) {
-        for (const ProtocolViolation &v : cs.samples) {
-            if (mergedSamples_.size() == MaxSamples)
-                return mergedSamples_;
-            mergedSamples_.push_back(v);
-        }
-    }
-    return mergedSamples_;
 }
 
 void
@@ -215,7 +174,7 @@ ProtocolChecker::checkWindows(const DramCmdEvent &ev, ChannelState &cs,
 {
     for (const auto &[s, e] : cs.relocks) {
         if (ev.at >= s && ev.at < e) {
-            record(cs, ev, "relock-window",
+            record(ev, "relock-window",
                    format("command inside re-lock quiescence "
                           "[%llu, %llu)",
                           static_cast<unsigned long long>(s),
@@ -225,7 +184,7 @@ ProtocolChecker::checkWindows(const DramCmdEvent &ev, ChannelState &cs,
     }
     for (const auto &[s, e] : rs.refreshes) {
         if (ev.at >= s && ev.at < e) {
-            record(cs, ev, "refresh-window",
+            record(ev, "refresh-window",
                    format("command inside refresh busy window "
                           "[%llu, %llu)",
                           static_cast<unsigned long long>(s),
@@ -234,12 +193,12 @@ ProtocolChecker::checkWindows(const DramCmdEvent &ev, ChannelState &cs,
         }
     }
     if (rs.pdEnter != MaxTick && ev.at >= rs.pdEnter) {
-        record(cs, ev, "powerdown",
+        record(ev, "powerdown",
                format("command while CKE low (since tick %llu, no "
                       "exit announced)",
                       static_cast<unsigned long long>(rs.pdEnter)));
     } else if (data_cmd && ev.at < rs.pdReady) {
-        record(cs, ev, "powerdown-exit",
+        record(ev, "powerdown-exit",
                format("command %llu ticks before powerdown exit "
                       "latency elapses (ready at %llu)",
                       static_cast<unsigned long long>(rs.pdReady -
@@ -258,18 +217,18 @@ ProtocolChecker::checkAct(const DramCmdEvent &ev, ChannelState &cs)
     checkWindows(ev, cs, rs, true);
 
     if (bs.cmdSeen && ev.at < bs.lastCmd) {
-        record(cs, ev, "command-order",
+        record(ev, "command-order",
                format("per-bank command stream regressed (last "
                       "command at %llu)",
                       static_cast<unsigned long long>(bs.lastCmd)));
     }
     if (bs.open) {
-        record(cs, ev, "act-on-open-bank",
+        record(ev, "act-on-open-bank",
                format("row %llu still open (no intervening precharge)",
                       static_cast<unsigned long long>(bs.row)));
     }
     if (bs.preSeen && ev.at < bs.lastPreDone) {
-        record(cs, ev, "tRP",
+        record(ev, "tRP",
                format("activate %llu ticks before precharge completes "
                       "at %llu",
                       static_cast<unsigned long long>(bs.lastPreDone -
@@ -277,7 +236,7 @@ ProtocolChecker::checkAct(const DramCmdEvent &ev, ChannelState &cs)
                       static_cast<unsigned long long>(bs.lastPreDone)));
     }
     if (bs.actSeen && ev.at < bs.lastAct + tp.tRC()) {
-        record(cs, ev, "tRC",
+        record(ev, "tRC",
                format("activate-to-activate gap %llu < tRC %llu",
                       static_cast<unsigned long long>(ev.at -
                                                       bs.lastAct),
@@ -292,7 +251,7 @@ ProtocolChecker::checkAct(const DramCmdEvent &ev, ChannelState &cs)
     std::size_t i = static_cast<std::size_t>(pos - acts.begin());
     acts.insert(pos, ev.at);
     if (i > 0 && ev.at - acts[i - 1] < tp.tRRD) {
-        record(cs, ev, "tRRD",
+        record(ev, "tRRD",
                format("activate %llu ticks after previous rank "
                       "activate (tRRD %llu)",
                       static_cast<unsigned long long>(ev.at -
@@ -300,7 +259,7 @@ ProtocolChecker::checkAct(const DramCmdEvent &ev, ChannelState &cs)
                       static_cast<unsigned long long>(tp.tRRD)));
     }
     if (i + 1 < acts.size() && acts[i + 1] - ev.at < tp.tRRD) {
-        record(cs, ev, "tRRD",
+        record(ev, "tRRD",
                format("activate %llu ticks before next rank activate "
                       "(tRRD %llu)",
                       static_cast<unsigned long long>(acts[i + 1] -
@@ -310,7 +269,7 @@ ProtocolChecker::checkAct(const DramCmdEvent &ev, ChannelState &cs)
     for (std::size_t j = std::max<std::size_t>(i, 4);
          j < acts.size() && j <= i + 4; ++j) {
         if (acts[j] - acts[j - 4] < tp.tFAW) {
-            record(cs, ev, "tFAW",
+            record(ev, "tFAW",
                    format("5 activates within %llu ticks (tFAW %llu)",
                           static_cast<unsigned long long>(
                               acts[j] - acts[j - 4]),
@@ -345,13 +304,13 @@ ProtocolChecker::checkPre(const DramCmdEvent &ev, ChannelState &cs)
     checkWindows(ev, cs, rs, false);
 
     if (bs.cmdSeen && ev.at < bs.lastCmd) {
-        record(cs, ev, "command-order",
+        record(ev, "command-order",
                format("per-bank command stream regressed (last "
                       "command at %llu)",
                       static_cast<unsigned long long>(bs.lastCmd)));
     }
     if (bs.open && bs.actSeen && ev.at < bs.lastAct + tp.tRAS) {
-        record(cs, ev, "tRAS",
+        record(ev, "tRAS",
                format("precharge %llu ticks after activate (tRAS "
                       "%llu)",
                       static_cast<unsigned long long>(ev.at -
@@ -359,7 +318,7 @@ ProtocolChecker::checkPre(const DramCmdEvent &ev, ChannelState &cs)
                       static_cast<unsigned long long>(tp.tRAS)));
     }
     if (ev.doneAt < ev.at + tp.tRP) {
-        record(cs, ev, "tRP",
+        record(ev, "tRP",
                format("precharge window %llu < tRP %llu",
                       static_cast<unsigned long long>(ev.doneAt -
                                                       ev.at),
@@ -383,21 +342,21 @@ ProtocolChecker::checkColumn(const DramCmdEvent &ev, ChannelState &cs)
     checkWindows(ev, cs, rs, true);
 
     if (bs.cmdSeen && ev.at < bs.lastCmd) {
-        record(cs, ev, "command-order",
+        record(ev, "command-order",
                format("per-bank command stream regressed (last "
                       "command at %llu)",
                       static_cast<unsigned long long>(bs.lastCmd)));
     }
     if (!bs.open) {
-        record(cs, ev, "cas-closed-bank",
+        record(ev, "cas-closed-bank",
                "column access with no row open");
     } else if (bs.row != ev.row) {
-        record(cs, ev, "cas-row-mismatch",
+        record(ev, "cas-row-mismatch",
                format("column access to row %llu but row %llu is open",
                       static_cast<unsigned long long>(ev.row),
                       static_cast<unsigned long long>(bs.row)));
     } else if (bs.actSeen && ev.at < bs.lastAct + tp.tRCD) {
-        record(cs, ev, "tRCD",
+        record(ev, "tRCD",
                format("column access %llu ticks after activate (tRCD "
                       "%llu)",
                       static_cast<unsigned long long>(ev.at -
@@ -408,7 +367,7 @@ ProtocolChecker::checkColumn(const DramCmdEvent &ev, ChannelState &cs)
     // Data-bus stage: tCL before data, burst length per the params in
     // effect at the burst, and no overlap on the shared bus.
     if (ev.burstStart < ev.at + tp.tCL) {
-        record(cs, ev, "tCL",
+        record(ev, "tCL",
                format("burst starts %llu ticks after CAS (tCL %llu)",
                       static_cast<unsigned long long>(ev.burstStart -
                                                       ev.at),
@@ -416,14 +375,14 @@ ProtocolChecker::checkColumn(const DramCmdEvent &ev, ChannelState &cs)
     }
     const TimingParams &btp = paramsAt(cs, ev.burstStart);
     if (ev.burstEnd - ev.burstStart != btp.tBURST) {
-        record(cs, ev, "burst-length",
+        record(ev, "burst-length",
                format("burst %llu ticks, expected tBURST %llu",
                       static_cast<unsigned long long>(ev.burstEnd -
                                                       ev.burstStart),
                       static_cast<unsigned long long>(btp.tBURST)));
     }
     if (ev.burstStart < cs.lastBurstEnd) {
-        record(cs, ev, "bus-overlap",
+        record(ev, "bus-overlap",
                format("burst starts %llu ticks before the previous "
                       "burst drains at %llu",
                       static_cast<unsigned long long>(cs.lastBurstEnd -
@@ -446,7 +405,7 @@ ProtocolChecker::checkRefresh(const DramCmdEvent &ev, ChannelState &cs)
     // cleared its powerdown-exit latency.
     for (const auto &[s, e] : cs.relocks) {
         if (ev.at >= s && ev.at < e) {
-            record(cs, ev, "relock-window",
+            record(ev, "relock-window",
                    format("refresh inside re-lock quiescence "
                           "[%llu, %llu)",
                           static_cast<unsigned long long>(s),
@@ -460,25 +419,25 @@ ProtocolChecker::checkRefresh(const DramCmdEvent &ev, ChannelState &cs)
         // command-while-CKE-low.
         if (rs.pdState >=
             static_cast<std::uint8_t>(RankIdleState::SelfRefresh)) {
-            record(cs, ev, "refresh-in-selfrefresh",
+            record(ev, "refresh-in-selfrefresh",
                    format("external refresh while rank self-refreshes "
                           "in %s (since tick %llu)",
                           rankIdleStateName(
                               static_cast<RankIdleState>(rs.pdState)),
                           static_cast<unsigned long long>(rs.pdEnter)));
         } else {
-            record(cs, ev, "powerdown",
+            record(ev, "powerdown",
                    format("refresh while CKE low (since tick %llu)",
                           static_cast<unsigned long long>(rs.pdEnter)));
         }
     } else if (ev.at < rs.pdReady) {
-        record(cs, ev, "powerdown-exit",
+        record(ev, "powerdown-exit",
                format("refresh before powerdown exit latency elapses "
                       "(ready at %llu)",
                       static_cast<unsigned long long>(rs.pdReady)));
     }
     if (ev.doneAt < ev.at + tp.tRFC) {
-        record(cs, ev, "tRFC",
+        record(ev, "tRFC",
                format("refresh busy window %llu < tRFC %llu",
                       static_cast<unsigned long long>(ev.doneAt -
                                                       ev.at),
@@ -488,7 +447,7 @@ ProtocolChecker::checkRefresh(const DramCmdEvent &ev, ChannelState &cs)
     // new busy window.
     for (Tick a : rs.acts) {
         if (a >= ev.at && a < ev.doneAt) {
-            record(cs, ev, "refresh-window",
+            record(ev, "refresh-window",
                    format("activate at %llu inside refresh busy "
                           "window [%llu, %llu)",
                           static_cast<unsigned long long>(a),
@@ -500,7 +459,7 @@ ProtocolChecker::checkRefresh(const DramCmdEvent &ev, ChannelState &cs)
     if (rs.refreshSeen && !rs.selfRefreshSinceRefresh &&
         ev.at > rs.lastRefreshStart +
                     RefreshStarvationREFIs * tp.tREFI) {
-        record(cs, ev, "refresh-starvation",
+        record(ev, "refresh-starvation",
                format("gap since previous refresh %llu > %llu tREFI",
                       static_cast<unsigned long long>(
                           ev.at - rs.lastRefreshStart),
@@ -519,7 +478,7 @@ void
 ProtocolChecker::onCommand(const DramCmdEvent &ev)
 {
     ChannelState &cs = chan(ev.channel);
-    ++cs.commands;
+    ++commands_;
     switch (ev.cmd) {
       case DramCmd::Act:
         checkAct(ev, cs);
@@ -549,7 +508,7 @@ ProtocolChecker::onCommand(const DramCmdEvent &ev)
             // demotion strictly down the ladder (CKE never rose, so
             // no exit latency was paid in between).
             if (state <= rs.pdState) {
-                record(cs, ev, "pd-transition",
+                record(ev, "pd-transition",
                        format("re-enter to %s while already in %s "
                               "(since tick %llu); only strictly "
                               "deeper demotions are legal without an "
@@ -575,7 +534,7 @@ ProtocolChecker::onCommand(const DramCmdEvent &ev)
       case DramCmd::PowerdownExit: {
         RankState &rs = rank(cs, ev.rank);
         if (rs.pdEnter == MaxTick) {
-            record(cs, ev, "pd-transition",
+            record(ev, "pd-transition",
                    "powerdown exit with no matching enter announced");
         } else {
             // The wake must pay the deepest reached rung's datasheet
@@ -588,7 +547,7 @@ ProtocolChecker::onCommand(const DramCmdEvent &ev)
             const bool in_relock =
                 rs.pdParked && ev.at <= cs.relockEnd;
             if (!in_relock && ev.doneAt < ev.at + need) {
-                record(cs, ev, "pd-exit-latency",
+                record(ev, "pd-exit-latency",
                        format("exit from %s ready after %llu ticks; "
                               "datasheet latency is %llu",
                               rankIdleStateName(
@@ -606,7 +565,7 @@ ProtocolChecker::onCommand(const DramCmdEvent &ev)
         break;
       }
       case DramCmd::Relock: {
-        ++cs.relockCount;
+        ++relocks_;
         cs.relockEnd = std::max(cs.relockEnd, ev.doneAt);
         cs.relocks.emplace_back(ev.at, ev.doneAt);
         if (cs.relocks.size() > MaxRelockWindows)
@@ -614,7 +573,7 @@ ProtocolChecker::onCommand(const DramCmdEvent &ev)
         for (RankState &rs : cs.ranks) {
             for (Tick a : rs.acts) {
                 if (a >= ev.at && a < ev.doneAt) {
-                    record(cs, ev, "relock-window",
+                    record(ev, "relock-window",
                            format("activate at %llu inside re-lock "
                                   "quiescence [%llu, %llu)",
                                   static_cast<unsigned long long>(a),
@@ -634,21 +593,21 @@ ProtocolChecker::onCommand(const DramCmdEvent &ev)
 void
 ProtocolChecker::saveState(SectionWriter &w) const
 {
+    w.u64(violations_);
+    w.u64(commands_);
+    w.u64(relocks_);
+    w.u32(static_cast<std::uint32_t>(samples_.size()));
+    for (const ProtocolViolation &v : samples_) {
+        w.str(v.rule);
+        w.u64(v.at);
+        w.u32(v.channel);
+        w.u32(v.rank);
+        w.u32(v.bank);
+        w.u8(static_cast<std::uint8_t>(v.cmd));
+        w.str(v.detail);
+    }
     w.u32(static_cast<std::uint32_t>(channels_.size()));
     for (const ChannelState &cs : channels_) {
-        w.u64(cs.violations);
-        w.u64(cs.commands);
-        w.u64(cs.relockCount);
-        w.u32(static_cast<std::uint32_t>(cs.samples.size()));
-        for (const ProtocolViolation &v : cs.samples) {
-            w.str(v.rule);
-            w.u64(v.at);
-            w.u32(v.channel);
-            w.u32(v.rank);
-            w.u32(v.bank);
-            w.u8(static_cast<std::uint8_t>(v.cmd));
-            w.str(v.detail);
-        }
         w.u32(static_cast<std::uint32_t>(cs.timings.size()));
         for (const auto &tpair : cs.timings) {
             w.u64(tpair.first);
@@ -696,21 +655,21 @@ ProtocolChecker::saveState(SectionWriter &w) const
 void
 ProtocolChecker::restoreState(SectionReader &r)
 {
+    violations_ = r.u64();
+    commands_ = r.u64();
+    relocks_ = r.u64();
+    samples_.assign(r.u32(), ProtocolViolation{});
+    for (ProtocolViolation &v : samples_) {
+        v.rule = r.str();
+        v.at = r.u64();
+        v.channel = r.u32();
+        v.rank = r.u32();
+        v.bank = r.u32();
+        v.cmd = static_cast<DramCmd>(r.u8());
+        v.detail = r.str();
+    }
     channels_.assign(r.u32(), ChannelState{});
     for (ChannelState &cs : channels_) {
-        cs.violations = r.u64();
-        cs.commands = r.u64();
-        cs.relockCount = r.u64();
-        cs.samples.assign(r.u32(), ProtocolViolation{});
-        for (ProtocolViolation &v : cs.samples) {
-            v.rule = r.str();
-            v.at = r.u64();
-            v.channel = r.u32();
-            v.rank = r.u32();
-            v.bank = r.u32();
-            v.cmd = static_cast<DramCmd>(r.u8());
-            v.detail = r.str();
-        }
         cs.timings.assign(r.u32(),
                           std::pair<Tick, TimingParams>{0, {}});
         for (auto &tpair : cs.timings) {

@@ -61,33 +61,25 @@ class ProtocolChecker : public CommandObserver
      */
     explicit ProtocolChecker(bool strict = strictDefault());
 
-    /**
-     * Validate one command.  All mutable state is per-channel
-     * (ev.channel selects the shard), so the weave kernel may invoke
-     * this concurrently from different channels' drain workers; the
-     * per-channel replay order equals the serial delivery order, so
-     * every verdict and tally is identical to a serial run.  The
-     * channel slot must already exist (onTimingChange pre-sizes it at
-     * observer attach) — concurrent first-touch resizing would race.
-     */
+    /** Validate one command against ev.channel's history. */
     void onCommand(const DramCmdEvent &ev) override;
     void onTimingChange(std::uint32_t channel, Tick effective,
                         const TimingParams &tp) override;
 
     /** Total violations recorded (strict mode never returns > 0). */
-    std::uint64_t violations() const;
+    std::uint64_t violations() const { return violations_; }
 
-    /**
-     * First few violations per channel, merged across channels in
-     * (channel, record order) and capped at MaxSamples total.
-     */
-    const std::vector<ProtocolViolation> &samples() const;
+    /** The first MaxSamples violations, in record order. */
+    const std::vector<ProtocolViolation> &samples() const
+    {
+        return samples_;
+    }
 
     /** Commands validated so far (all channels). */
-    std::uint64_t commandsChecked() const;
+    std::uint64_t commandsChecked() const { return commands_; }
 
     /** Frequency re-lock windows observed (all channels). */
-    std::uint64_t relocksSeen() const;
+    std::uint64_t relocksSeen() const { return relocks_; }
 
     bool strict() const { return strict_; }
 
@@ -178,14 +170,6 @@ class ProtocolChecker : public CommandObserver
         Tick relockEnd = 0;
         Tick lastBurstEnd = 0;
         std::vector<RankState> ranks;
-
-        /** @name Tallies — per channel so drain workers never race. */
-        /// @{
-        std::uint64_t violations = 0;
-        std::uint64_t commands = 0;
-        std::uint64_t relockCount = 0;
-        std::vector<ProtocolViolation> samples;  ///< first MaxSamples
-        /// @}
     };
 
     ChannelState &chan(std::uint32_t ch);
@@ -193,8 +177,8 @@ class ProtocolChecker : public CommandObserver
     BankState &bank(RankState &rs, std::uint32_t bank);
     const TimingParams &paramsAt(const ChannelState &cs, Tick t) const;
 
-    void record(ChannelState &cs, const DramCmdEvent &ev,
-                const char *rule, std::string detail);
+    void record(const DramCmdEvent &ev, const char *rule,
+                std::string detail);
 
     /** Shared window checks for ACT/Read/Write (and PRE where noted). */
     void checkWindows(const DramCmdEvent &ev, ChannelState &cs,
@@ -207,8 +191,10 @@ class ProtocolChecker : public CommandObserver
 
     bool strict_;
     std::vector<ChannelState> channels_;
-    /** Lazily rebuilt merge of per-channel samples (samples()). */
-    mutable std::vector<ProtocolViolation> mergedSamples_;
+    std::uint64_t violations_ = 0;
+    std::uint64_t commands_ = 0;
+    std::uint64_t relocks_ = 0;
+    std::vector<ProtocolViolation> samples_;  ///< first MaxSamples
 };
 
 } // namespace memscale

@@ -15,8 +15,8 @@
  *
  * Workers implement CpuSampler, so the unchanged epoch controller
  * profiles them and dynamic policies (memscale, slo) re-clock the bus
- * under open-loop load.  Everything runs on the bound thread, which
- * makes results bit-identical across `--threads` for free; all state
+ * under open-loop load.  Everything runs inside the serial event
+ * loop, so results depend only on the config and seed; all state
  * checkpoints through a dedicated "serving" snapshot section.
  */
 

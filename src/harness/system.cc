@@ -5,11 +5,9 @@
 
 #include "common/log.hh"
 #include "cpu/core.hh"
-#include "harness/sweep.hh"
 #include "mem/controller.hh"
 #include "sim/event_kinds.hh"
 #include "sim/event_queue.hh"
-#include "sim/weave.hh"
 #include "snapshot/serializer.hh"
 #include "workload/mixes.hh"
 #include "workload/trace_source.hh"
@@ -156,28 +154,6 @@ System::run()
     MemoryController mc(eq, cfg_.mem);
     PolicyContext ctx = cfg_.policyContext();
 
-    // Bound/weave kernel (threads > 1): a worker pool drains the
-    // per-channel weave shards at barriers while the bound thread
-    // blocks, so worker/bound accesses are temporally disjoint.
-    // Declared before the components whose state the hub tasks touch
-    // are *used*, but the hub itself never runs outside barrier().
-    const unsigned weave_threads =
-        checkedJobs(cfg_.threads == 0 ? 1 : cfg_.threads);
-    std::unique_ptr<SweepEngine> weave_engine;
-    std::unique_ptr<WeaveHub> weave_hub;
-    if (weave_threads > 1) {
-        weave_engine = std::make_unique<SweepEngine>(weave_threads);
-        weave_hub = std::make_unique<WeaveHub>();
-        weave_hub->setRunner(
-            [&weave_engine](std::size_t n,
-                            const std::function<void(std::size_t)> &fn) {
-                weave_engine->forEach(n, fn);
-            });
-        // A checkpoint cut through a half-woven interval would snapshot
-        // stale channel accounting; the guard makes that loud.
-        eq.setExportGuard([&mc] { return mc.weaveDrained(); });
-    }
-
     // Observability: registry + recorder exist only for observe runs;
     // both are pure readers of state the simulation maintains anyway.
     std::unique_ptr<StatRegistry> registry;
@@ -199,11 +175,6 @@ System::run()
             cfg_.strictCheck || ProtocolChecker::strictDefault());
         mc.setCommandObserver(checker.get());
     }
-
-    // Attach after the observer so the checker's per-channel slots are
-    // pre-sized (serially) before any concurrent drain can touch them.
-    if (weave_hub)
-        mc.attachWeave(weave_hub.get());
 
     // Energy integration: close a constant-frequency interval before
     // every frequency change and once more at the end of the run.
@@ -334,22 +305,6 @@ System::run()
             cores.push_back(std::make_unique<Core>(
                 eq, i, *sources.back(), mc, cp));
             core_ptrs.push_back(cores.back().get());
-        }
-    }
-
-    // Trace pre-generation rides the weave pool too, but only when no
-    // checkpoint is in play in either direction: a prefetched source's
-    // RNG sits ahead of the consumption point, which would change what
-    // saveState() captures.
-    const bool snapshot_active =
-        !cfg_.snapshot.out.empty() || resuming ||
-        cfg_.snapshot.every > 0 || cfg_.snapshot.at > 0;
-    if (weave_hub && !snapshot_active) {
-        constexpr std::size_t PrefetchChunks = 64;
-        for (auto &c : cores) {
-            Core *cp = c.get();
-            cp->setPrefetch(PrefetchChunks);
-            weave_hub->addTask([cp] { cp->refillPrefetch(); });
         }
     }
 
@@ -554,11 +509,6 @@ System::run()
     bool stopped_at_checkpoint = false;
     std::vector<std::string> checkpoints_written;
     auto write_checkpoint = [&](const std::string &path) {
-        // Drain the weave shards before cutting: every saveState()
-        // below (and exportPending()'s guard) requires fully-integrated
-        // accounting.  MemoryController::saveState is const and cannot
-        // barrier itself.
-        mc.weaveBarrier();
         const std::vector<PendingEvent> pend = eq.exportPending();
         std::uint32_t relocks = 0;
         std::uint32_t refreshes = 0;
@@ -713,24 +663,6 @@ System::run()
                         eq.stop();
                     },
                     EventClass::Sample, {EvEphemeral});
-    }
-
-    // Periodic weave flush: static policies never hit an epoch
-    // barrier, so without this the shards would grow for the whole
-    // run.  A barrier is behaviour-free at any bound-side point, and
-    // EvEphemeral Sample-class events shift later insertion sequences
-    // uniformly, so scheduling it cannot perturb results.
-    std::function<void()> weave_flush;
-    if (weave_hub) {
-        const Tick flush_period =
-            std::max<Tick>(1, std::min(cfg_.epochLen, msToTick(1.0)));
-        weave_flush = [&, flush_period] {
-            mc.weaveBarrier();
-            eq.scheduleIn(flush_period, [&] { weave_flush(); },
-                          EventClass::Sample, {EvEphemeral});
-        };
-        eq.scheduleIn(flush_period, [&] { weave_flush(); },
-                      EventClass::Sample, {EvEphemeral});
     }
 
     eq.runUntil(cfg_.maxSimTime);

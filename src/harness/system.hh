@@ -55,10 +55,10 @@ struct SystemConfig
 
     /**
      * Server power budget in Watts handed to cap-aware policies
-     * (fastcap); 0 means uncapped.  A runtime knob like threads or
-     * jobs: the cluster coordinator re-assigns it every coordination
-     * epoch, so it is deliberately NOT part of the snapshot
-     * fingerprint — a resumed shard may carry a different budget.
+     * (fastcap); 0 means uncapped.  A runtime knob like jobs: the
+     * cluster coordinator re-assigns it every coordination epoch, so
+     * it is deliberately NOT part of the snapshot fingerprint — a
+     * resumed shard may carry a different budget.
      */
     Watts powerCapW = 0.0;
 
@@ -88,19 +88,6 @@ struct SystemConfig
      * modes must produce bit-identical results.
      */
     KernelMode kernelMode = KernelMode::Fast;
-
-    /**
-     * Bound/weave worker threads (sim/weave).  1 (the default) runs
-     * today's purely serial kernel; N > 1 keeps the global event loop
-     * serial (the "bound" phase, which fixes all timing) but defers
-     * per-channel accounting — command-stream validation, rank
-     * residency integration, trace pre-generation — to a worker pool
-     * that drains it at policy/sampling barriers (the "weave" phase).
-     * Results are bit-identical at every thread count; the goldens and
-     * the differential harness's threadDiff() pin this.  Not part of
-     * the result identity (flattenRunResult ignores it).
-     */
-    unsigned threads = 1;
 
     /**
      * Attach the online DDR3 protocol checker (check/protocol_checker)

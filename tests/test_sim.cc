@@ -180,8 +180,9 @@ TEST(EventQueue, PendingExactAfterCancelChurn)
                             [&fired] { ++fired; }));
         // Cancel three quarters of this round's events.
         for (std::size_t k = ids.size() - 40; k < ids.size(); ++k) {
-            if (k % 4 != 0)
+            if (k % 4 != 0) {
                 EXPECT_TRUE(eq.cancel(ids[k]));
+            }
         }
     }
     EXPECT_EQ(eq.pending(), 50u * 10u);
