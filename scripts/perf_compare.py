@@ -17,10 +17,12 @@ against false alarms rather than against real regressions.  Pass
 min/max spread of the repetitions), which is the right estimator when
 *recording* numbers rather than gating on them.
 
-The baseline records a machine fingerprint (nproc + compiler); when
-the current machine's fingerprint differs, every comparison is
-suspect — containers with different core counts or compilers routinely
-shift results by 10-20% — so the report flags the mismatch loudly.
+The baseline records a machine fingerprint (nproc, compiler and the
+bench build's CMAKE_BUILD_TYPE); when the current fingerprint differs,
+every comparison is suspect — containers with different core counts or
+compilers, or a Debug build against a Release baseline, routinely shift
+results by 10-20% or more — so the report flags the mismatch loudly.
+Fields a baseline predates are noted, not flagged.
 --report-only prints the comparison but always exits 0 (the CI perf
 smoke step runs in this mode: visibility without flakiness).
 
@@ -85,25 +87,45 @@ def aggregate(reps, use_median):
     return agg
 
 
+def project_default_build_type():
+    """The build type the top-level CMakeLists.txt falls back to when
+    CMAKE_BUILD_TYPE is left empty in the cache."""
+    try:
+        with open(os.path.join(REPO, "CMakeLists.txt")) as f:
+            m = re.search(r"set\(CMAKE_BUILD_TYPE\s+(\w+)\)", f.read())
+        if m:
+            return m.group(1)
+    except OSError:
+        pass
+    return "unknown"
+
+
 def machine_fingerprint(bench):
-    """nproc + compiler identity for the build that produced `bench`.
-    Results from different containers are not comparable; this is how
-    we notice."""
-    fp = {"nproc": os.cpu_count() or 0, "compiler": "unknown"}
+    """nproc + compiler + build type for the build that produced
+    `bench`.  Results from different containers or build types are
+    not comparable; this is how we notice."""
+    fp = {"nproc": os.cpu_count() or 0, "compiler": "unknown",
+          "build_type": "unknown"}
     cache = os.path.join(os.path.dirname(os.path.dirname(bench)),
                          "CMakeCache.txt")
     try:
         with open(cache) as f:
-            m = re.search(r"^CMAKE_CXX_COMPILER:\S+=(.*)$", f.read(),
-                          re.MULTILINE)
-        if m:
+            text = f.read()
+    except OSError:
+        return fp
+    m = re.search(r"^CMAKE_BUILD_TYPE:\w+=(.*)$", text, re.MULTILINE)
+    if m:
+        fp["build_type"] = m.group(1).strip() or project_default_build_type()
+    m = re.search(r"^CMAKE_CXX_COMPILER:\S+=(.*)$", text, re.MULTILINE)
+    if m:
+        try:
             ver = subprocess.run([m.group(1).strip(), "--version"],
                                  stdout=subprocess.PIPE,
                                  stderr=subprocess.DEVNULL, check=True,
                                  text=True)
             fp["compiler"] = ver.stdout.splitlines()[0].strip()
-    except (OSError, subprocess.CalledProcessError, IndexError):
-        pass
+        except (OSError, subprocess.CalledProcessError, IndexError):
+            pass
     return fp
 
 
@@ -196,15 +218,23 @@ def main():
         tolerance = doc.get("tolerance", 0.10)
     baseline = doc["items_per_second"]
 
-    base_fp = doc.get("fingerprint")
-    fp_mismatch = base_fp is not None and base_fp != fingerprint
-    if fp_mismatch:
+    base_fp = doc.get("fingerprint") or {}
+    mismatched = [k for k in fingerprint
+                  if k in base_fp and base_fp[k] != fingerprint[k]]
+    if mismatched:
         print("=" * 64)
-        print("WARNING: machine fingerprint differs from the baseline;")
-        print("cross-container numbers are NOT comparable.")
+        print("WARNING: fingerprint differs from the baseline "
+              f"({', '.join(mismatched)});")
+        print("cross-container or cross-build-type numbers are NOT "
+              "comparable.")
         print(f"  baseline: {base_fp}")
         print(f"  current:  {fingerprint}")
         print("=" * 64)
+    unrecorded = [k for k in fingerprint if base_fp and k not in base_fp]
+    if unrecorded:
+        print(f"note: the baseline predates {', '.join(unrecorded)} "
+              f"(current: {', '.join(str(fingerprint[k]) for k in unrecorded)}); "
+              "re-record with --update to pin it")
 
     failed = False
     for name, base in sorted(baseline.items()):

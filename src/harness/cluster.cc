@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "common/log.hh"
 #include "common/rng.hh"
@@ -237,9 +238,6 @@ ClusterHarness::ClusterHarness(const ClusterConfig &cfg) : cfg_(cfg)
               "least one policy epoch (%0.3f ms)",
               tickToMs(cfg_.coordEpoch),
               tickToMs(cfg_.server.epochLen));
-    if (cfg_.scratchDir.empty())
-        fatal("cluster: scratchDir is required (per-server "
-              "checkpoint chains live there)");
     for (double w : cfg_.weights) {
         if (!(w > 0.0))
             fatal("cluster: fairness weight %g must be positive", w);
@@ -303,7 +301,6 @@ ClusterHarness::run()
 
     std::vector<ServerTelemetry> tele(n);
     std::vector<double> prev_energy(n, 0.0);
-    std::vector<std::string> chain(n);
     std::vector<FleetEpochRow> rows;
     std::size_t e0 = 0;
 
@@ -376,8 +373,6 @@ ClusterHarness::run()
         for (std::uint32_t k = 0; k < n; ++k) {
             tele[k] = restoreTelemetry(r);
             prev_energy[k] = r.f64();
-            chain[k] =
-                serverSnapshotPath(cfg_.snapshot.resumePath, k);
         }
         rows.resize(r.u32());
         for (FleetEpochRow &row : rows)
@@ -398,7 +393,21 @@ ClusterHarness::run()
                   cfg_.snapshot.atEpoch, e0);
     }
 
+    // Every server and its policy are built once and stay resident
+    // across coordination epochs; a fleet resume rebuilds each one
+    // from its per-server file.
     SweepEngine eng(cfg_.jobs);
+    std::vector<std::unique_ptr<Policy>> policies(n);
+    std::vector<std::unique_ptr<System>> servers(n);
+    eng.forEach(n, [&](std::size_t k) {
+        SystemConfig c = serverConfig(static_cast<std::uint32_t>(k));
+        if (!cfg_.snapshot.resumePath.empty())
+            c.snapshot.resumePath = serverSnapshotPath(
+                cfg_.snapshot.resumePath, static_cast<std::uint32_t>(k));
+        policies[k] = makePolicy(cfg_.policy);
+        servers[k] = std::make_unique<System>(c, *policies[k]);
+    });
+
     std::vector<RunResult> results(n);
     FleetResult out;
 
@@ -430,41 +439,50 @@ ClusterHarness::run()
 
         const bool fleet_cut = cfg_.snapshot.atEpoch > 0 &&
                                e + 1 == cfg_.snapshot.atEpoch;
+        const bool last = e == cuts.size() ||
+                          (fleet_cut && cfg_.snapshot.stopAfter);
 
-        std::vector<SystemConfig> scfgs(n);
-        for (std::uint32_t k = 0; k < n; ++k) {
-            SystemConfig c = serverConfig(k);
-            c.powerCapW =
-                alloc.budgetW.empty() ? 0.0 : alloc.budgetW[k];
-            c.snapshot.resumePath = chain[k];
-            if (e < cuts.size()) {
-                c.snapshot.at = cuts[e];
-                c.snapshot.stopAfter = true;
-                c.snapshot.out =
-                    fleet_cut
-                        ? serverSnapshotPath(cfg_.snapshot.out, k)
-                        : cfg_.scratchDir + "/fleet_s" +
-                              std::to_string(k) + "_e" +
-                              std::to_string(e);
-            }
-            scfgs[k] = c;
-        }
-
-        // One shard per server, fanned out across the sweep pool.
-        // Results and telemetry are keyed by server index, so the
-        // outcome is bit-identical at any --jobs.
+        // Every server advances one epoch, fanned out across the sweep
+        // pool.  The budget lands only after the previous boundary's
+        // epoch-end decision has run (advanceTo stops after it), and
+        // the energy is read without closing the open interval, so a
+        // resident fleet equals one cut and resumed from files at every
+        // boundary (DESIGN.md §12).  Results and telemetry are keyed by
+        // server index, so they are bit-identical at any --jobs.
         std::vector<ServerTelemetry> new_tele(n);
+        std::vector<Joules> energy(n);
+        std::vector<double> p99(n);
         eng.forEach(n, [&](std::size_t k) {
-            auto p = makePolicy(cfg_.policy);
-            System sys(scfgs[k], *p);
-            results[k] = sys.run();
+            System &sys = *servers[k];
+            sys.setPowerCap(alloc.budgetW.empty() ? 0.0
+                                                  : alloc.budgetW[k]);
+            if (e == cuts.size()) {
+                results[k] = sys.run();
+            } else {
+                sys.advanceTo(end);
+                if (sys.now() != end)
+                    fatal("cluster: server %zu stopped before the epoch "
+                          "boundary at %0.3f ms",
+                          k, tickToMs(end));
+                if (fleet_cut)
+                    sys.checkpoint(serverSnapshotPath(
+                        cfg_.snapshot.out,
+                        static_cast<std::uint32_t>(k)));
+                if (last)
+                    results[k] = sys.finish();
+            }
+            if (last) {
+                energy[k] = results[k].energy.total();
+                p99[k] = results[k].serving.p99Us;
+            } else {
+                energy[k] = sys.energyNow();
+                p99[k] = sys.servingStats().p99Us;
+            }
             ServerTelemetry t;
             t.valid = true;
-            t.measuredW =
-                (results[k].energy.total() - prev_energy[k]) /
-                dt_sec;
+            t.measuredW = (energy[k] - prev_energy[k]) / dt_sec;
             const auto *fc =
-                dynamic_cast<const FastCapPolicy *>(p.get());
+                dynamic_cast<const FastCapPolicy *>(policies[k].get());
             if (fc != nullptr && fc->telemetry().valid) {
                 t.demandW = fc->telemetry().demandW;
                 t.minW = fc->telemetry().minW;
@@ -487,14 +505,7 @@ ClusterHarness::run()
         row.budgetW = alloc.budgetW;
         row.allocFeasible = alloc.feasible;
         for (std::uint32_t k = 0; k < n; ++k) {
-            if (e < cuts.size()) {
-                if (!results[k].stoppedAtCheckpoint)
-                    fatal("cluster: server %u ran past the epoch cut "
-                          "at %0.3f ms",
-                          k, tickToMs(cuts[e]));
-                chain[k] = results[k].checkpointsWritten.back();
-            }
-            prev_energy[k] = results[k].energy.total();
+            prev_energy[k] = energy[k];
             row.measuredW.push_back(new_tele[k].measuredW);
             row.fleetW += new_tele[k].measuredW;
         }
@@ -511,7 +522,7 @@ ClusterHarness::run()
             obsBudgetW_[k] =
                 row.budgetW.empty() ? 0.0 : row.budgetW[k];
             obsPowerW_[k] = row.measuredW[k];
-            obsP99Us_[k] = results[k].serving.p99Us;
+            obsP99Us_[k] = p99[k];
             obsSlowdown_[k] = new_tele[k].slowdown;
         }
 

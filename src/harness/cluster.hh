@@ -6,18 +6,20 @@
  * Each server is a full System with its own open-loop serving front
  * end, seeded independently via splitmix64 stream derivation
  * (deriveSeed(fleetSeed, k) depends only on the server index, so
- * server k's stream never changes when the fleet grows).  Time
- * advances in lockstep coordination epochs over the PR 5 checkpoint
- * chain: every epoch each server runs one shard (resume previous cut,
- * checkpoint at the next boundary) fanned out across the SweepEngine,
- * then the Coordinator divides the fleet budget for the *next* epoch
- * from the telemetry the shards just reported — stale by exactly one
- * epoch, as a real out-of-band controller would see it.
+ * server k's stream never changes when the fleet grows).  Servers and
+ * their policies are built once and stay resident: every coordination
+ * epoch each server advances to the next boundary (System::advanceTo,
+ * fanned out across the SweepEngine), then the Coordinator divides
+ * the fleet budget for the *next* epoch from the telemetry just
+ * reported — stale by exactly one epoch, as a real out-of-band
+ * controller would see it — and hands each server its share through
+ * System::setPowerCap.
  *
  * Fleets cut and resume bit-identically: a fleet snapshot is a
  * container with a "cluster" section (config fingerprint, epoch
  * cursor, telemetry, per-epoch power rows) next to one ordinary
- * per-server snapshot file per server (`<out>.server<k>`).
+ * per-server snapshot file per server (`<out>.server<k>`).  Files are
+ * written only when a cut is requested.
  */
 
 #ifndef MEMSCALE_HARNESS_CLUSTER_HH
@@ -108,7 +110,7 @@ struct ClusterConfig
     /** Demand-mix override per server, cycled (empty = template's). */
     std::vector<DemandMix> demandMix;
 
-    /** Scratch directory for the per-server checkpoint chains. */
+    /** Unused: fleets write no files unless a cut is requested. */
     std::string scratchDir;
 
     /** Sweep parallelism across servers (0 = hardware default). */

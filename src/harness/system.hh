@@ -2,7 +2,8 @@
  * @file
  * Full-system wiring: cores + synthetic trace sources + memory
  * controller + power integrator + policy (+ epoch controller for
- * dynamic policies), run to completion of a workload mix.
+ * dynamic policies), run to completion of a workload mix or stepped
+ * through simulated time.
  */
 
 #ifndef MEMSCALE_HARNESS_SYSTEM_HH
@@ -28,6 +29,9 @@
 
 namespace memscale
 {
+
+class StatRegistry;
+class SyntheticTraceSource;
 
 struct SystemConfig
 {
@@ -56,9 +60,10 @@ struct SystemConfig
     /**
      * Server power budget in Watts handed to cap-aware policies
      * (fastcap); 0 means uncapped.  A runtime knob like jobs: the
-     * cluster coordinator re-assigns it every coordination epoch, so
-     * it is deliberately NOT part of the snapshot fingerprint — a
-     * resumed shard may carry a different budget.
+     * cluster coordinator re-assigns it every coordination epoch
+     * (System::setPowerCap), so it is deliberately NOT part of the
+     * snapshot fingerprint — a resumed server may carry a different
+     * budget.
      */
     Watts powerCapW = 0.0;
 
@@ -211,17 +216,116 @@ struct SnapshotMeta
 /** Parse a snapshot file's meta block (fatal on unreadable files). */
 SnapshotMeta readSnapshotMeta(const std::string &path);
 
+/**
+ * One simulated server, steppable.  The constructor wires everything
+ * (and, on resume, restores a snapshot); advanceTo() moves simulated
+ * time forward in as many steps as the caller likes; finish() closes
+ * the energy interval and collects the RunResult.  run() is exactly
+ * advanceTo(the end) followed by finish().  Fleets keep servers
+ * resident between coordination epochs through this interface.
+ *
+ * Not copyable or movable: scheduled events capture `this`.
+ */
 class System
 {
   public:
     System(const SystemConfig &cfg, Policy &policy);
+    ~System();
+
+    System(const System &) = delete;
+    System &operator=(const System &) = delete;
 
     /** Run the mix to completion and collect results. */
     RunResult run();
 
+    /**
+     * Run until tick `t`.  The stop is a Sample-class EvEphemeral
+     * event at `t`, so every Hardware- and Policy-class event at `t`
+     * (an epoch end included) has run when this returns — exactly the
+     * state a `snapshot.at = t` checkpoint captures.  Returns early
+     * when the workload ends, the time limit is hit or a stopAfter
+     * checkpoint fires; a no-op once ended() or when `t` <= now().
+     */
+    void advanceTo(Tick t);
+
+    /** The workload finished, the time limit hit, or a stopAfter cut. */
+    bool ended() const;
+
+    Tick now() const { return eq_.now(); }
+
+    /**
+     * Hand cap-aware policies a new server budget (0 = uncapped).
+     * Takes effect at the next policy decision.
+     */
+    void setPowerCap(Watts w);
+
+    /**
+     * Total energy so far, including the still-open constant-frequency
+     * interval: bit-equal to what finish() would report now.  Works on
+     * copies of the integrator and interval baselines, so later
+     * results are the same whether or not this was called.
+     */
+    Joules energyNow();
+
+    /** Serving metrics as of now() (serving runs only). */
+    ServingStats servingStats() const;
+
+    /** Write a checkpoint of the current state to `path`. */
+    void checkpoint(const std::string &path);
+
+    /** Close the energy interval and collect results (call once). */
+    RunResult finish();
+
   private:
+    /** True once the closed-loop cores are done or the serving
+     *  horizon is reached. */
+    bool workloadDone() const;
+    /** Add the open interval [lastSample_, now) to `integ`, advancing
+     *  the per-core busy baselines in `stall`. */
+    void accrue(SystemEnergyIntegrator &integ, std::vector<Tick> &stall,
+                const IntervalActivity &cur) const;
+    /** Integrate the open interval and start a new one at now. */
+    void closeInterval();
+    void restore(const std::string &path);
+    void periodicCheckpoint();
+
     SystemConfig cfg_;
     Policy &policy_;
+    const bool serving_;
+
+    EventQueue eq_;
+    MemoryController mc_;
+    // Observability: registry + recorder exist only for observe runs.
+    std::unique_ptr<StatRegistry> registry_;
+    std::shared_ptr<EpochRecorder> recorder_;
+    std::unique_ptr<ProtocolChecker> checker_;
+
+    // Energy integration: a constant-frequency interval is closed
+    // before every frequency change and once more in finish().
+    SystemEnergyIntegrator integrator_;
+    IntervalActivity last_;
+    Tick lastSample_ = 0;
+    /**
+     * CPU-energy busy baselines (modelCpuPower only).  Closed-loop
+     * cores charge busy = active minus stall; serving workers expose
+     * request-service busy time directly, so this doubles as the
+     * per-worker busy baseline there.
+     */
+    std::vector<Tick> lastStall_;
+
+    // Workload: trace-replay cores, or the serving front end.
+    std::vector<AppProfile> profiles_;
+    std::vector<std::unique_ptr<SyntheticTraceSource>> sources_;
+    std::vector<std::unique_ptr<Core>> cores_;
+    std::vector<Core *> corePtrs_;
+    std::unique_ptr<ServingFrontEnd> fe_;
+    std::unique_ptr<EpochController> epochs_;
+
+    std::uint32_t done_ = 0;
+    bool horizonReached_ = false;
+    bool stoppedAtCheckpoint_ = false;
+    bool finished_ = false;
+    std::vector<std::string> checkpointsWritten_;
 };
 
 } // namespace memscale

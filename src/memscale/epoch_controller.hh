@@ -52,6 +52,9 @@ class EpochController
     /** Arm the first epoch at the current tick. */
     void start();
 
+    /** New server budget for the policy's next decisions. */
+    void setPowerCap(Watts w) { ctx_.powerCapW = w; }
+
     const std::vector<EpochRecord> &history() const { return history_; }
 
     /** Epochs completed so far. */

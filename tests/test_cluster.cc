@@ -7,12 +7,23 @@
  * acceptance property — under a rack cap, fastcap's budgets respect
  * the cap every epoch and heterogeneous fleets stay fair, while the
  * cap-oblivious memscale policy blows through the same cap.
+ *
+ * PinnedFleetHashes pins one capped fastcap fleet and one
+ * uncoordinated memscale fleet bit for bit: fleet hash, fleet energy
+ * and every per-epoch budget and measured watt.  After an *intended*
+ * behaviour change, regenerate with
+ *
+ *     MEMSCALE_REGEN_GOLDENS=1 ./build/tests/test_cluster \
+ *         --gtest_filter=Cluster.PinnedFleetHashes
+ *
+ * and paste the printed block over kFleetGoldens.
  */
 
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
-
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -25,14 +36,6 @@ using namespace memscale;
 
 namespace
 {
-
-std::string
-scratch(const std::string &name)
-{
-    std::string dir = "/tmp/memscale_test_cluster_" + name;
-    ::mkdir(dir.c_str(), 0755);
-    return dir;
-}
 
 /** Calibrated per-server template (restWatts computed once). */
 SystemConfig
@@ -60,14 +63,13 @@ serverTemplate()
 }
 
 ClusterConfig
-fleetConfig(const std::string &name, std::uint32_t n)
+fleetConfig(std::uint32_t n)
 {
     ClusterConfig c;
     c.numServers = n;
     c.server = serverTemplate();
     c.policy = "fastcap";
     c.coordEpoch = msToTick(0.2);   // 3 epochs over the 0.6 ms horizon
-    c.scratchDir = scratch(name);
     return c;
 }
 
@@ -85,7 +87,7 @@ meanFleetW(const FleetResult &r)
 
 TEST(Cluster, ServerConfigDerivation)
 {
-    ClusterConfig c = fleetConfig("derive", 4);
+    ClusterConfig c = fleetConfig(4);
     c.rateScale = {1.0, 2.0};
     ClusterHarness h(c);
 
@@ -105,7 +107,7 @@ TEST(Cluster, ServerConfigDerivation)
     EXPECT_DOUBLE_EQ(s0.powerCapW, 0.0);
 
     // Growing the fleet re-derives the same per-server configs.
-    ClusterConfig c2 = fleetConfig("derive", 2);
+    ClusterConfig c2 = fleetConfig(2);
     c2.rateScale = c.rateScale;
     ClusterHarness h2(c2);
     EXPECT_EQ(h2.serverConfig(1).seed, s1.seed);
@@ -113,7 +115,7 @@ TEST(Cluster, ServerConfigDerivation)
 
 TEST(Cluster, RunToRunDeterminism)
 {
-    ClusterConfig c = fleetConfig("det", 2);
+    ClusterConfig c = fleetConfig(2);
     c.capW = 0.0;
     FleetResult a = ClusterHarness(c).run();
     FleetResult b = ClusterHarness(c).run();
@@ -130,7 +132,7 @@ TEST(Cluster, RunToRunDeterminism)
 
 TEST(Cluster, JobsOneVsManyIdentical)
 {
-    ClusterConfig c = fleetConfig("jobs", 3);
+    ClusterConfig c = fleetConfig(3);
     // Any fixed cap works here: the property is bit-identity across
     // thread counts, binding or not.
     c.capW = 3.0 * serverTemplate().restWatts;
@@ -159,8 +161,8 @@ TEST(Cluster, ServerStreamsIndependentOfFleetSize)
     // budgets and no coupling, so their results must be bit-identical
     // across the two fleet sizes — the index-only seed-derivation
     // property that makes fleet scaling experiments comparable.
-    ClusterConfig c2 = fleetConfig("grow2", 2);
-    ClusterConfig c4 = fleetConfig("grow4", 4);
+    ClusterConfig c2 = fleetConfig(2);
+    ClusterConfig c4 = fleetConfig(4);
     FleetResult small = ClusterHarness(c2).run();
     FleetResult big = ClusterHarness(c4).run();
 
@@ -172,9 +174,29 @@ TEST(Cluster, ServerStreamsIndependentOfFleetSize)
             << "server " << k << " changed when the fleet grew";
 }
 
+TEST(Cluster, UncutFleetWritesNoFiles)
+{
+    // Servers stay resident between coordination epochs, so a fleet
+    // run without a requested cut writes nothing — not even into the
+    // (unused) scratch directory it is handed.
+    char tmpl[] = "/tmp/memscale_test_cluster_XXXXXX";
+    ASSERT_NE(::mkdtemp(tmpl), nullptr);
+    const std::filesystem::path dir(tmpl);
+
+    ClusterConfig c = fleetConfig(2);
+    c.capW = 3.0 * serverTemplate().restWatts;
+    c.scratchDir = dir.string();
+    const FleetResult r = ClusterHarness(c).run();
+
+    EXPECT_EQ(r.epochs.size(), 3u);
+    EXPECT_TRUE(r.fleetSnapshotPath.empty());
+    EXPECT_TRUE(std::filesystem::is_empty(dir));
+    std::filesystem::remove_all(dir);
+}
+
 TEST(Cluster, ObsPrefixesPerServer)
 {
-    ClusterConfig c = fleetConfig("obs", 4);
+    ClusterConfig c = fleetConfig(4);
     ClusterHarness h(c);
     StatRegistry reg;
     h.registerStats(reg);
@@ -202,17 +224,17 @@ TEST(Cluster, CoordinatedCapMetWhereUncoordinatedViolates)
     // uncoordinated memscale fleet naturally draws.  The cap-aware
     // fastcap coordinator fits budgets and measured power under the
     // cap every epoch; memscale ignores the budgets and violates it.
-    ClusterConfig probe = fleetConfig("probe", 3);
+    ClusterConfig probe = fleetConfig(3);
     probe.capW = 0.0;
     probe.policy = "memscale";
     FleetResult uncapped = ClusterHarness(probe).run();
     const Watts cap = 0.95 * meanFleetW(uncapped);
 
-    ClusterConfig coord = fleetConfig("coord", 3);
+    ClusterConfig coord = fleetConfig(3);
     coord.capW = cap;
     FleetResult fast = ClusterHarness(coord).run();
 
-    ClusterConfig naive = fleetConfig("naive", 3);
+    ClusterConfig naive = fleetConfig(3);
     naive.capW = cap;
     naive.policy = "memscale";
     FleetResult mem = ClusterHarness(naive).run();
@@ -242,12 +264,12 @@ TEST(Cluster, CoordinatedCapMetWhereUncoordinatedViolates)
 
 TEST(Cluster, HeterogeneousFleetStaysFair)
 {
-    ClusterConfig probe = fleetConfig("fairprobe", 3);
+    ClusterConfig probe = fleetConfig(3);
     probe.rateScale = {0.5, 1.0, 2.0};
     probe.capW = 0.0;
     FleetResult uncapped = ClusterHarness(probe).run();
 
-    ClusterConfig c = fleetConfig("fair", 3);
+    ClusterConfig c = fleetConfig(3);
     c.rateScale = probe.rateScale;
     c.capW = 0.85 * meanFleetW(uncapped);
     FleetResult r = ClusterHarness(c).run();
@@ -260,11 +282,11 @@ TEST(Cluster, HeterogeneousFleetStaysFair)
 
 TEST(Cluster, WeightsTiltBudgets)
 {
-    ClusterConfig probe = fleetConfig("weightprobe", 2);
+    ClusterConfig probe = fleetConfig(2);
     probe.capW = 0.0;
     FleetResult uncapped = ClusterHarness(probe).run();
 
-    ClusterConfig c = fleetConfig("weights", 2);
+    ClusterConfig c = fleetConfig(2);
     c.weights = {1.0, 3.0};
     c.capW = 0.8 * meanFleetW(uncapped);
     FleetResult r = ClusterHarness(c).run();
@@ -273,5 +295,112 @@ TEST(Cluster, WeightsTiltBudgets)
         ASSERT_EQ(row.budgetW.size(), 2u);
         EXPECT_GE(row.budgetW[1], row.budgetW[0])
             << "epoch " << row.epoch;
+    }
+}
+
+namespace
+{
+
+/** One pinned fleet: epoch-major budget and measured-watt rows. */
+struct FleetGolden
+{
+    const char *name;
+    std::uint64_t hash;
+    double energyJ;
+    std::vector<double> budgetW;     ///< empty when uncoordinated
+    std::vector<double> measuredW;
+};
+
+// Regenerate: MEMSCALE_REGEN_GOLDENS=1 ./build/tests/test_cluster
+const FleetGolden kFleetGoldens[] = {
+    {"memscale", 0x17630637e547a917ull, 0x1.8bc8d982f6748p-4,
+     {},
+     {
+      0x1.a750df9ef706dp+5, 0x1.be6f5bb1f3c61p+5, 0x1.c96c85f89f72cp+5,
+      0x1.9ff542fb7803fp+5, 0x1.a1f291264a3b5p+5, 0x1.b6652d71294c6p+5,
+      0x1.9e35be31ade06p+5, 0x1.a39708a4439c7p+5, 0x1.afcee27087821p+5
+     }},
+    {"fastcap", 0xce565405f2f9a2efull, 0x1.68ff98cd02b74p-4,
+     {
+      0x1.82822469e4adcp+5, 0x1.82822469e4adcp+5, 0x1.82822469e4adcp+5,
+      0x1.7e3d754a950f6p+5, 0x1.84f3e67a34e9ep+5, 0x1.84551178e41p+5,
+      0x1.82506a7b90f87p+5, 0x1.845e14b08c85ep+5, 0x1.80d7ee11908b1p+5
+     },
+     {
+      0x1.8b22cd9d6897ep+5, 0x1.8e53c36b00fcbp+5, 0x1.9393048a8aa45p+5,
+      0x1.816d4f84e703p+5, 0x1.8258d4913e40cp+5, 0x1.8826eb67a19b6p+5,
+      0x1.80a977333c3fdp+5, 0x1.831bd43b49a5cp+5, 0x1.88a41fb2cd87bp+5
+     }},
+};
+
+FleetGolden
+observedGolden(const char *name, const FleetResult &r)
+{
+    FleetGolden g{name, r.fleetHash, r.fleetEnergyJ, {}, {}};
+    for (const FleetEpochRow &row : r.epochs) {
+        g.budgetW.insert(g.budgetW.end(), row.budgetW.begin(),
+                         row.budgetW.end());
+        g.measuredW.insert(g.measuredW.end(), row.measuredW.begin(),
+                           row.measuredW.end());
+    }
+    return g;
+}
+
+void
+printList(const std::vector<double> &v)
+{
+    std::printf("{");
+    for (std::size_t i = 0; i < v.size(); ++i)
+        std::printf("%s%a", i ? ", " : "", v[i]);
+    std::printf("}");
+}
+
+} // namespace
+
+TEST(Cluster, PinnedFleetHashes)
+{
+    // Three unequally loaded servers over three coordination epochs:
+    // the uncoordinated memscale fleet, then fastcap under a cap that
+    // binds (0.9 x the memscale fleet's mean draw).
+    ClusterConfig mem = fleetConfig(3);
+    mem.rateScale = {0.5, 1.0, 2.0};
+    mem.policy = "memscale";
+    mem.capW = 0.0;
+    const FleetResult m = ClusterHarness(mem).run();
+
+    ClusterConfig fc = fleetConfig(3);
+    fc.rateScale = mem.rateScale;
+    fc.capW = 0.9 * meanFleetW(m);
+    const FleetResult f = ClusterHarness(fc).run();
+
+    ASSERT_EQ(m.epochs.size(), 3u);
+    ASSERT_EQ(f.epochs.size(), 3u);
+    const FleetGolden got[] = {observedGolden("memscale", m),
+                               observedGolden("fastcap", f)};
+
+    const char *regen = std::getenv("MEMSCALE_REGEN_GOLDENS");
+    if (regen && regen[0] == '1') {
+        std::printf("const FleetGolden kFleetGoldens[] = {\n");
+        for (const FleetGolden &g : got) {
+            std::printf("    {\"%s\", 0x%016llxull, %a,\n     ", g.name,
+                        static_cast<unsigned long long>(g.hash),
+                        g.energyJ);
+            printList(g.budgetW);
+            std::printf(",\n     ");
+            printList(g.measuredW);
+            std::printf("},\n");
+        }
+        std::printf("};\n");
+        GTEST_SKIP() << "regenerated fleet goldens";
+    }
+
+    for (std::size_t i = 0; i < 2; ++i) {
+        const FleetGolden &want = kFleetGoldens[i];
+        const FleetGolden &have = got[i];
+        SCOPED_TRACE(want.name);
+        EXPECT_EQ(have.hash, want.hash);
+        EXPECT_EQ(have.energyJ, want.energyJ);
+        EXPECT_EQ(have.budgetW, want.budgetW);
+        EXPECT_EQ(have.measuredW, want.measuredW);
     }
 }

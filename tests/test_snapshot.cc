@@ -26,8 +26,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
-
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -413,6 +411,52 @@ TEST(ResumeEquivalence, ServingBurstyChainOfCuts)
     EXPECT_TRUE(flattenRunResult(full) == flattenRunResult(sharded));
     ASSERT_TRUE(full.obs && sharded.obs);
     EXPECT_EQ(full.obs->toCsv(), sharded.obs->toCsv());
+}
+
+TEST(ResumeEquivalence, SteppedSystemMatchesRun)
+{
+    // A resident fleet server is advanced one coordination epoch at a
+    // time, its energy read and its budget re-applied at every
+    // boundary.  None of that may perturb the run: stepping in 0.1 ms
+    // increments must finish bit-identical to one straight run().
+    SystemConfig cfg = servingConfig(ArrivalKind::Poisson);
+    cfg.modelCpuPower = true;
+    cfg.restWatts = kRestWatts;
+    cfg.powerCapW = 160.0;
+    auto straight_policy = makePolicy("fastcap");
+    const RunResult straight = System(cfg, *straight_policy).run();
+
+    auto policy = makePolicy("fastcap");
+    System sys(cfg, *policy);
+    std::vector<std::pair<Tick, Joules>> reads;
+    for (Tick t = msToTick(0.1); !sys.ended(); t += msToTick(0.1)) {
+        sys.advanceTo(t);
+        reads.emplace_back(sys.now(), sys.energyNow());
+        sys.setPowerCap(cfg.powerCapW);
+    }
+    const RunResult stepped = sys.finish();
+
+    EXPECT_EQ(hashRunResult(stepped), hashRunResult(straight));
+    EXPECT_TRUE(flattenRunResult(stepped) == flattenRunResult(straight));
+    ASSERT_EQ(reads.size(), 5u);
+    EXPECT_EQ(reads.back().first, cfg.serving.horizon);
+    EXPECT_EQ(reads.back().second, stepped.energy.total());
+
+    // energyNow() at T is exactly the energy a run stopped by a
+    // `snapshot.at = T` checkpoint reports.
+    const std::string path = scratch("stepped.snap");
+    for (std::size_t i = 0; i + 1 < reads.size(); ++i) {
+        SystemConfig cut = cfg;
+        cut.snapshot.at = reads[i].first;
+        cut.snapshot.stopAfter = true;
+        cut.snapshot.out = path;
+        auto p = makePolicy("fastcap");
+        const RunResult head = System(cut, *p).run();
+        ASSERT_TRUE(head.stoppedAtCheckpoint);
+        EXPECT_EQ(reads[i].second, head.energy.total())
+            << "at " << tickToMs(reads[i].first) << " ms";
+    }
+    std::remove(path.c_str());
 }
 
 TEST(ResumeEquivalence, ServingResumeRejectsMismatchedArrival)
@@ -881,8 +925,6 @@ TEST(ResumeEquivalence, FleetMidRunCutAndResume)
     base.policy = "fastcap";
     base.capW = 320.0;   // binding or not, budgets must replay exactly
     base.coordEpoch = msToTick(0.1);   // 5 epochs over the 0.5 ms run
-    base.scratchDir = "/tmp/memscale_test_snapshot_fleet";
-    ::mkdir(base.scratchDir.c_str(), 0755);
 
     FleetResult full = ClusterHarness(base).run();
     ASSERT_EQ(full.epochs.size(), 5u);
@@ -951,8 +993,6 @@ TEST(ResumeEquivalence, FleetResumeRejectsMismatchedConfig)
     base.policy = "fastcap";
     base.capW = 320.0;
     base.coordEpoch = msToTick(0.1);
-    base.scratchDir = "/tmp/memscale_test_snapshot_fleet";
-    ::mkdir(base.scratchDir.c_str(), 0755);
 
     const std::string path = scratch("fleet_mismatch");
     ClusterConfig head_cfg = base;
