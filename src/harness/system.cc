@@ -409,9 +409,9 @@ System::restore(const std::string &path)
             ++done_;
     }
 
-    // Re-schedule the saved pending events in their original
-    // execution order; fresh insertion sequences then preserve
-    // every same-tick tie-break.
+    // Re-schedule the saved pending events (and re-reserve the
+    // deferred rank steps) in their original execution order; fresh
+    // insertion sequences then preserve every same-tick tie-break.
     const std::uint32_t npend = sim.u32();
     for (std::uint32_t i = 0; i < npend; ++i) {
         const Tick when = sim.u64();
@@ -421,6 +421,11 @@ System::restore(const std::string &path)
         tag.owner = sim.u32();
         tag.a = sim.u64();
         tag.b = sim.u64();
+        if (Channel::isStepKind(tag.kind)) {
+            // A deferred rank step takes its key in saved order too.
+            mc_.restoreChannelStep(when, eq_.reserveKey(cls), tag);
+            continue;
+        }
         EventCallback cb;
         switch (tag.kind) {
           case EvCoreIssueMiss:
@@ -429,10 +434,7 @@ System::restore(const std::string &path)
                       tag.owner);
             cb = corePtrs_[tag.owner]->rebuildEvent(tag.kind);
             break;
-          case EvChanBankClosed:
-          case EvChanActOpen:
           case EvChanBurstDone:
-          case EvChanPreDone:
           case EvChanRelockEnter:
           case EvChanRelockExit:
           case EvChanRefreshTick:
@@ -577,13 +579,13 @@ System::advanceTo(Tick t)
     if (ended() || t <= eq_.now())
         return;
     if (t >= cfg_.maxSimTime) {
-        eq_.runUntil(cfg_.maxSimTime);
+        events_ += eq_.runUntil(cfg_.maxSimTime);
         return;
     }
     const EventId stop = eq_.schedule(t, [this] { eq_.stop(); },
                                       EventClass::Sample,
                                       {EvEphemeral});
-    eq_.runUntil(cfg_.maxSimTime);
+    events_ += eq_.runUntil(cfg_.maxSimTime);
     // Still pending when the run ended before `t`.
     eq_.cancel(stop);
 }
@@ -606,7 +608,11 @@ System::periodicCheckpoint()
 void
 System::checkpoint(const std::string &path)
 {
-    const std::vector<PendingEvent> pend = eq_.exportPending();
+    // Rank steps the kernel has passed belong to the saved state; the
+    // rest are listed with the pending events under their keys.
+    mc_.settle();
+    const std::vector<PendingEvent> pend =
+        eq_.exportPending(mc_.deferredSteps());
     std::uint32_t relocks = 0;
     std::uint32_t refreshes = 0;
     for (const PendingEvent &pe : pend) {

@@ -254,6 +254,14 @@ class System
     Tick now() const { return eq_.now(); }
 
     /**
+     * Kernel events this System has executed so far (the sum of
+     * runUntil()'s counts; host-side only, never hashed).  With the
+     * DRAM reads and writes in the result counters it gives the
+     * deterministic events-per-request cost of a run.
+     */
+    std::uint64_t eventsExecuted() const { return events_; }
+
+    /**
      * Hand cap-aware policies a new server budget (0 = uncapped).
      * Takes effect at the next policy decision.
      */
@@ -322,6 +330,7 @@ class System
     std::unique_ptr<EpochController> epochs_;
 
     std::uint32_t done_ = 0;
+    std::uint64_t events_ = 0;
     bool horizonReached_ = false;
     bool stoppedAtCheckpoint_ = false;
     bool finished_ = false;

@@ -15,6 +15,7 @@ Channel::Channel(EventQueue &eq, const MemConfig &cfg,
                  RequestPool &pool, const TimingParams &tp)
     : eq_(eq), cfg_(cfg), pool_(pool), tp_(tp),
       ranks_(cfg.ranksPerChannel()),
+      steps_(cfg.ranksPerChannel()),
       banks_(cfg.ranksPerChannel() * cfg.banksPerRank),
       pdExitReadyAt_(cfg.ranksPerChannel(), 0),
       pdSeq_(cfg.ranksPerChannel(), 0),
@@ -160,6 +161,7 @@ Channel::tryService(std::uint32_t r, std::uint32_t b)
         const Tick wake_at =
             relockParked_[r] ? now : std::max(now, suspendedUntil_);
         const Tick exit_lat = idleExitLatency(rk.idleState(), tp);
+        settle(r);
         rk.setIdleState(now, RankIdleState::Up);
         ++pdSeq_[r];
         pdExitReadyAt_[r] = wake_at + exit_lat;
@@ -274,29 +276,21 @@ Channel::tryService(std::uint32_t r, std::uint32_t b)
         emit(ev);
     }
 
-    // Accounting events at the actual transition times, coalesced
-    // where that provably preserves ordering: the pre-close and
-    // act-open updates merge into one event when they fall on the
-    // same tick (their seqs were consecutive, so same-tick relative
-    // order is unchanged; across ticks they stay separate because an
-    // epoch-boundary rank sample may fire in between), and the rank
-    // burst accounting always rides on the completion event (both at
-    // burstEnd with consecutive seqs).  Net: two events per request
-    // in the common case instead of four.
+    // Rank accounting at the actual transition times, as deferred
+    // steps under the keys their events would have had: the
+    // open-miss pre-close and the act-open share one step when they
+    // fall on the same tick (their keys would have been consecutive),
+    // and the rank burst accounting rides on the completion event
+    // (both at burstEnd).
     if (req->outcome == RowOutcome::OpenMiss &&
         open_miss_pre_done != act_at) {
-        eq_.schedule(open_miss_pre_done,
-                     [this, r] { evBankClosed(r); },
-                     EventClass::Hardware,
-                     {EvChanBankClosed, id_, r});
+        addStep(r, open_miss_pre_done, eq_.reserveKey(),
+                EvChanBankClosed);
     }
     if (did_act) {
         bool also_close = req->outcome == RowOutcome::OpenMiss &&
                           open_miss_pre_done == act_at;
-        eq_.schedule(act_at,
-                     [this, r, also_close] { evActOpen(r, also_close); },
-                     EventClass::Hardware,
-                     {EvChanActOpen, id_, r, also_close ? 1u : 0u});
+        addStep(r, act_at, eq_.reserveKey(), EvChanActOpen, also_close);
     }
     // The burst tag carries the request's pool slab index and the
     // channel-side burst time; burst_acct is recoverable as
@@ -312,20 +306,106 @@ Channel::tryService(std::uint32_t r, std::uint32_t b)
                   chan_burst});
 }
 
-void
-Channel::evBankClosed(std::uint32_t r)
+bool
+Channel::isStepKind(std::uint32_t kind)
 {
-    ranks_[r].bankClosed(eq_.now());
+    return kind == EvChanActOpen || kind == EvChanBankClosed ||
+           kind == EvChanPreDone;
 }
 
 void
-Channel::evActOpen(std::uint32_t r, bool also_close)
+Channel::addStep(std::uint32_t r, Tick when, EventKey key,
+                 std::uint32_t kind, bool also_close)
 {
-    if (also_close)
-        ranks_[r].bankClosed(eq_.now());
-    ranks_[r].bankOpened(eq_.now());
-    ranks_[r].noteActPre();
-    counters_.pocc += 1;
+    // Settling here keeps each queue down to the steps still ahead
+    // of the kernel even when nothing reads the rank for a whole run.
+    settle(r);
+    insertStep(r, RankStep{when, key, kind, also_close, false});
+}
+
+void
+Channel::insertStep(std::uint32_t r, const RankStep &s)
+{
+    StepQueue &q = steps_[r];
+    // Planning mostly runs ahead in time, so scan from the back.
+    auto pos = q.v.end();
+    const auto first = q.v.begin() + static_cast<std::ptrdiff_t>(q.head);
+    while (pos != first &&
+           (s.when < (pos - 1)->when ||
+            (s.when == (pos - 1)->when && s.key < (pos - 1)->key)))
+        --pos;
+    pos = q.v.insert(pos, s);
+    if (s.kind == EvChanPreDone && pdMode_ != PowerdownMode::None)
+        backStep(r, *pos);
+}
+
+void
+Channel::backStep(std::uint32_t r, RankStep &s)
+{
+    s.backed = true;
+    eq_.scheduleKeyed(s.when, s.key, [this, r] { evPreDone(r); },
+                      {EvEphemeral});
+}
+
+void
+Channel::settle(std::uint32_t r)
+{
+    StepQueue &q = steps_[r];
+    while (q.head < q.v.size() &&
+           eq_.passed(q.v[q.head].when, q.v[q.head].key))
+        applyStep(r, q.v[q.head++]);
+    if (q.head == q.v.size()) {
+        q.v.clear();
+        q.head = 0;
+    } else if (q.head >= 16 && 2 * q.head >= q.v.size()) {
+        q.v.erase(q.v.begin(),
+                  q.v.begin() + static_cast<std::ptrdiff_t>(q.head));
+        q.head = 0;
+    }
+}
+
+void
+Channel::settle()
+{
+    for (std::uint32_t r = 0; r < ranks_.size(); ++r)
+        settle(r);
+}
+
+void
+Channel::applyStep(std::uint32_t r, const RankStep &s)
+{
+    Rank &rk = ranks_[r];
+    if (s.kind != EvChanActOpen || s.alsoClose)
+        rk.bankClosed(s.when);
+    if (s.kind == EvChanActOpen) {
+        rk.bankOpened(s.when);
+        rk.noteActPre();
+        counters_.pocc += 1;
+    }
+}
+
+void
+Channel::deferredSteps(std::vector<DeferredEvent> &out) const
+{
+    for (std::uint32_t r = 0; r < steps_.size(); ++r) {
+        const StepQueue &q = steps_[r];
+        for (std::size_t i = q.head; i < q.v.size(); ++i) {
+            const RankStep &s = q.v[i];
+            out.push_back({s.when, s.key,
+                           {s.kind, id_, r, s.alsoClose ? 1u : 0u}});
+        }
+    }
+}
+
+void
+Channel::restoreStep(Tick when, EventKey key, const EventTag &tag)
+{
+    const auto r = static_cast<std::uint32_t>(tag.a);
+    if (r >= ranks_.size() || !isStepKind(tag.kind))
+        fatal("Channel %u restore: bad rank step (kind %s, rank %u)",
+              id_, eventKindName(tag.kind), r);
+    // No settle: the steps arrive in saved order, ahead of the clock.
+    insertStep(r, RankStep{when, key, tag.kind, tag.b != 0, false});
 }
 
 void
@@ -338,7 +418,7 @@ Channel::evBurstDone(MemRequest *req, Tick chan_burst, Tick burst_acct)
 void
 Channel::evPreDone(std::uint32_t r)
 {
-    ranks_[r].bankClosed(eq_.now());
+    settle(r);
     maybePowerdown(r);
 }
 
@@ -353,6 +433,7 @@ Channel::evRelockEnter(std::uint32_t r)
         // protocol violation).
         return;
     }
+    settle(r);
     if (rk.openBanks() == 0) {
         rk.setIdleState(eq_.now(), RankIdleState::FastPd);
         ++pdSeq_[r];
@@ -367,6 +448,7 @@ void
 Channel::evRelockExit(std::uint32_t r)
 {
     Rank &rk = ranks_[r];
+    settle(r);
     if (relockParked_[r]) {
         relockParked_[r] = 0;
         if (rk.idleState() == RankIdleState::FastPd) {
@@ -449,10 +531,7 @@ Channel::onBurstDone(MemRequest *req, Tick chan_burst)
         }
         bc.bank.close();
         bc.bank.setReadyAt(std::max(bc.bank.readyAt(), pre_done));
-        std::uint32_t rank_idx = r;
-        eq_.schedule(pre_done, [this, rank_idx] { evPreDone(rank_idx); },
-                     EventClass::Hardware,
-                     {EvChanPreDone, id_, rank_idx});
+        addStep(r, pre_done, eq_.reserveKey(), EvChanPreDone);
     }
 
     if (req->isWrite) {
@@ -472,8 +551,9 @@ Channel::onBurstDone(MemRequest *req, Tick chan_burst)
 }
 
 bool
-Channel::rankFullyIdle(std::uint32_t r) const
+Channel::rankFullyIdle(std::uint32_t r)
 {
+    settle(r);
     if (ranks_[r].openBanks() != 0)
         return false;
     const std::uint32_t base = r * cfg_.banksPerRank;
@@ -585,10 +665,20 @@ void
 Channel::setPowerdownMode(PowerdownMode mode)
 {
     pdMode_ = mode;
-    if (mode != PowerdownMode::None) {
-        for (std::uint32_t r = 0; r < ranks_.size(); ++r)
-            maybePowerdown(r);
+    if (mode == PowerdownMode::None)
+        return;
+    // Pending trailing precharges now decide powerdown at their
+    // ticks too.  Settle first: a step the kernel has passed must be
+    // applied, not woken in the past.
+    for (std::uint32_t r = 0; r < ranks_.size(); ++r) {
+        settle(r);
+        StepQueue &q = steps_[r];
+        for (std::size_t i = q.head; i < q.v.size(); ++i)
+            if (q.v[i].kind == EvChanPreDone && !q.v[i].backed)
+                backStep(r, q.v[i]);
     }
+    for (std::uint32_t r = 0; r < ranks_.size(); ++r)
+        maybePowerdown(r);
 }
 
 void
@@ -680,6 +770,7 @@ Channel::refreshRank(std::uint32_t r)
     Tick start = std::max(now, suspendedUntil_);
     if (rk.powerdown()) {
         const Tick exit_lat = idleExitLatency(rk.idleState(), tp);
+        settle(r);
         rk.setIdleState(now, RankIdleState::Up);
         ++pdSeq_[r];
         counters_.epdc += 1;
@@ -709,12 +800,6 @@ Channel::rebuildEvent(std::uint32_t kind, std::uint64_t a,
 {
     auto r = static_cast<std::uint32_t>(a);
     switch (kind) {
-      case EvChanBankClosed:
-        return [this, r] { evBankClosed(r); };
-      case EvChanActOpen: {
-        bool also_close = b != 0;
-        return [this, r, also_close] { evActOpen(r, also_close); };
-      }
       case EvChanBurstDone: {
         MemRequest *req = pool_.at(static_cast<std::size_t>(a));
         Tick chan_burst = b;
@@ -723,8 +808,6 @@ Channel::rebuildEvent(std::uint32_t kind, std::uint64_t a,
             evBurstDone(req, chan_burst, burst_acct);
         };
       }
-      case EvChanPreDone:
-        return [this, r] { evPreDone(r); };
       case EvChanRelockEnter:
         return [this, r] { evRelockEnter(r); };
       case EvChanRelockExit:
@@ -840,8 +923,10 @@ Channel::restoreState(SectionReader &rd)
 void
 Channel::sampleRanks(Tick now, std::vector<RankActivity> &out)
 {
-    for (auto &rk : ranks_)
-        out.push_back(rk.sample(now));
+    for (std::uint32_t r = 0; r < ranks_.size(); ++r) {
+        settle(r);
+        out.push_back(ranks_[r].sample(now));
+    }
 }
 
 std::uint32_t

@@ -7,11 +7,12 @@
  * The scheduler is event-driven at request granularity: when a bank
  * picks up a request, its entire command sequence (optional powerdown
  * exit, precharge, activate, column access, burst, precharge) is
- * planned against resource-availability timestamps, and accounting
- * events are posted at the actual transition times.  This mirrors the
- * queueing model of paper Fig. 4: banks are servers; the bus is a
- * zero-depth server; a bank stays blocked until its burst drains
- * (transfer blocking).
+ * planned against resource-availability timestamps.  The completion
+ * is an event; the rank open/close accounting at the ACT and
+ * precharge-done ticks is a deferred step (see settle()).  This
+ * mirrors the queueing model of paper Fig. 4: banks are servers; the
+ * bus is a zero-depth server; a bank stays blocked until its burst
+ * drains (transfer blocking).
  */
 
 #ifndef MEMSCALE_MEM_CHANNEL_HH
@@ -105,8 +106,18 @@ class Channel
     /** Cumulative data-bus busy time on this channel. */
     Tick burstTime() const { return burstTime_; }
 
-    /** This channel's cumulative counter block. */
+    /**
+     * This channel's cumulative counter block.  `pocc` counts the
+     * ACTs applied by the last settle(); call settle() first for the
+     * value as of the kernel's position.
+     */
     const McCounters &counters() const { return counters_; }
+
+    /**
+     * Apply every deferred rank step the event kernel has passed, on
+     * all ranks (see the private settle(rank)).
+     */
+    void settle();
 
     /**
      * Publish this channel's counters (and its ranks') under `prefix`
@@ -147,6 +158,23 @@ class Channel
     /** Reconstruct the closure of a tagged pending event (restore). */
     EventCallback rebuildEvent(std::uint32_t kind, std::uint64_t a,
                                std::uint64_t b);
+
+    /**
+     * Whether a pending-event tag of this kind is a deferred rank
+     * step (EvChanActOpen, EvChanBankClosed, EvChanPreDone) rather
+     * than an event.
+     */
+    static bool isStepKind(std::uint32_t kind);
+
+    /** List the unapplied rank steps under their keys and tags
+     * (call settle() first). */
+    void deferredSteps(std::vector<DeferredEvent> &out) const;
+
+    /**
+     * Re-create a deferred step from its checkpoint tag under a key
+     * the caller reserved in saved order (restore).
+     */
+    void restoreStep(Tick when, EventKey key, const EventTag &tag);
     /// @}
 
   private:
@@ -193,7 +221,7 @@ class Channel
 
     void refreshRank(std::uint32_t rank);
 
-    bool rankFullyIdle(std::uint32_t rank) const;
+    bool rankFullyIdle(std::uint32_t rank);
 
     /** Announce a command to the observer, if any. */
     void emit(DramCmdEvent ev);
@@ -205,14 +233,64 @@ class Channel
                  RankIdleState state = RankIdleState::Up);
 
     /**
+     * @name Deferred rank accounting.
+     *
+     * A rank's open-bank count and ACT/PRE count (and the channel's
+     * POCC) change at ACT and precharge-done ticks that are known
+     * when the command sequence is planned.  Instead of an event per
+     * transition, the channel records a step under the exact (tick,
+     * key) its event would have had — the key comes from
+     * EventQueue::reserveKey() at the point the event used to be
+     * scheduled — and settle(r) applies the steps the kernel has
+     * passed, in key order and each at its own tick, before anything
+     * reads or moves the rank.  Readers therefore see exactly the
+     * state the event would have left.  A step is tagged like the
+     * event it replaces (kind EvChanActOpen with b = also-close,
+     * EvChanBankClosed, or EvChanPreDone), which is how checkpoints
+     * list it.
+     *
+     * A trailing precharge under a powerdown mode also decides
+     * whether the rank may power down at its tick, so that step is
+     * additionally *backed* by a wakeup event under the same key
+     * (tagged EvEphemeral: the step, not the wakeup, is what a
+     * checkpoint records).
+     */
+    /// @{
+    struct RankStep
+    {
+        Tick when;
+        EventKey key;
+        std::uint32_t kind;  ///< EvChanActOpen/BankClosed/PreDone
+        bool alsoClose;      ///< EvChanActOpen: close a bank first
+        bool backed;         ///< a wakeup event runs at (when, key)
+    };
+
+    /** One rank's pending steps, sorted by (when, key) from head. */
+    struct StepQueue
+    {
+        std::vector<RankStep> v;
+        std::size_t head = 0;
+    };
+
+    /** Settle rank r, then queue a step (backing it if needed). */
+    void addStep(std::uint32_t r, Tick when, EventKey key,
+                 std::uint32_t kind, bool also_close = false);
+    void insertStep(std::uint32_t r, const RankStep &s);
+    /** Apply rank r's steps that the kernel has passed. */
+    void settle(std::uint32_t r);
+    void applyStep(std::uint32_t r, const RankStep &s);
+    /** Schedule the powerdown-decision wakeup of a PreDone step. */
+    void backStep(std::uint32_t r, RankStep &s);
+    /// @}
+
+    /**
      * @name Scheduled-event bodies.  Each corresponds to one
      * EventKind so a checkpointed event can be rebuilt from its tag;
      * live scheduling and rebuildEvent() share these methods.
      */
     /// @{
-    void evBankClosed(std::uint32_t r);
-    void evActOpen(std::uint32_t r, bool also_close);
     void evBurstDone(MemRequest *req, Tick chan_burst, Tick burst_acct);
+    /** Wakeup of a backed PreDone step: settle, then maybe power down. */
     void evPreDone(std::uint32_t r);
     void evRelockEnter(std::uint32_t r);
     void evRelockExit(std::uint32_t r);
@@ -226,6 +304,7 @@ class Channel
     TimingParams tp_;
 
     std::vector<Rank> ranks_;
+    std::vector<StepQueue> steps_;      ///< per rank
     std::vector<BankCtl> banks_;        ///< rank-major
     std::vector<Tick> pdExitReadyAt_;   ///< per rank
 

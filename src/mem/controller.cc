@@ -230,6 +230,7 @@ MemoryController::sampleCounters()
 {
     McCounters out;
     for (auto &ch : channels_) {
+        ch->settle();
         const McCounters &c = ch->counters();
         out.bto += c.bto;
         out.btc += c.btc;
@@ -259,6 +260,7 @@ MemoryController::sampleChannelCounters(std::uint32_t ch)
 {
     if (ch >= channels_.size())
         fatal("MemoryController: bad channel %u", ch);
+    channels_[ch]->settle();
     McCounters out = channels_[ch]->counters();
     addRankTimes(out, *channels_[ch]);
     return out;
@@ -436,6 +438,32 @@ MemoryController::rebuildChannelEvent(std::uint32_t owner,
         fatal("MemoryController: event owner %u out of %zu channels",
               owner, channels_.size());
     return channels_[owner]->rebuildEvent(kind, a, b);
+}
+
+void
+MemoryController::settle()
+{
+    for (auto &ch : channels_)
+        ch->settle();
+}
+
+std::vector<DeferredEvent>
+MemoryController::deferredSteps() const
+{
+    std::vector<DeferredEvent> out;
+    for (const auto &ch : channels_)
+        ch->deferredSteps(out);
+    return out;
+}
+
+void
+MemoryController::restoreChannelStep(Tick when, EventKey key,
+                                     const EventTag &tag)
+{
+    if (tag.owner >= channels_.size())
+        fatal("MemoryController: step owner %u out of %zu channels",
+              tag.owner, channels_.size());
+    channels_[tag.owner]->restoreStep(when, key, tag);
 }
 
 std::size_t

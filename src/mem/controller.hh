@@ -194,6 +194,23 @@ class MemoryController
                                       std::uint32_t kind,
                                       std::uint64_t a,
                                       std::uint64_t b);
+
+    /**
+     * Apply every channel's deferred rank steps the event kernel has
+     * passed (Channel::settle); a checkpoint settles before saving.
+     */
+    void settle();
+
+    /** Every channel's unapplied rank steps, for exportPending(). */
+    std::vector<DeferredEvent> deferredSteps() const;
+
+    /**
+     * Re-create a channel's deferred rank step from its checkpoint
+     * tag (see Channel::isStepKind) under a key reserved in saved
+     * order.
+     */
+    void restoreChannelStep(Tick when, EventKey key,
+                            const EventTag &tag);
     /// @}
 
   private:

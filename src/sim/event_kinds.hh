@@ -9,6 +9,11 @@
  * the original — rebuilds an equivalent closure from the tag.  The
  * enumerator values are part of the snapshot format: never renumber an
  * existing kind, only append.
+ *
+ * EvChanBankClosed, EvChanActOpen and EvChanPreDone are no longer
+ * events but a channel's deferred rank steps (Channel::settle); they
+ * keep these tags in checkpoints, where restore turns them back into
+ * steps.
  */
 
 #ifndef MEMSCALE_SIM_EVENT_KINDS_HH
@@ -23,10 +28,10 @@ enum EventKind : std::uint32_t
 {
     EvNone = 0,            ///< untagged (not checkpointable)
     EvCoreIssueMiss = 1,   ///< Core compute-chunk end -> issue miss
-    EvChanBankClosed = 2,  ///< row-miss precharge done
-    EvChanActOpen = 3,     ///< ACT latched, row open
+    EvChanBankClosed = 2,  ///< row-miss precharge done (rank step)
+    EvChanActOpen = 3,     ///< ACT latched, row open (rank step)
     EvChanBurstDone = 4,   ///< data burst completes a request
-    EvChanPreDone = 5,     ///< trailing precharge done
+    EvChanPreDone = 5,     ///< trailing precharge done (rank step)
     EvChanRelockEnter = 6, ///< frequency-relock stall begins
     EvChanRelockExit = 7,  ///< frequency-relock stall ends
     EvChanRefreshTick = 8, ///< periodic per-rank refresh arm
@@ -38,9 +43,11 @@ enum EventKind : std::uint32_t
     EvChanPdDemote = 14,    ///< idle-ladder demotion timer fires
     EvMemMigrate = 15,      ///< periodic hot-page consolidation pass
     /**
-     * Meta-events of the checkpoint machinery itself (the periodic
-     * snapshot writer).  Never exported: a resumed run re-creates its
-     * own from the command line, so they must not round-trip.
+     * Events that are never exported: the checkpoint machinery's own
+     * (the periodic snapshot writer, run stops), which a resumed run
+     * re-creates from the command line, and the wakeups backing a
+     * channel's PreDone rank steps, which restore re-creates from the
+     * steps themselves.
      */
     EvEphemeral = 0xffffffffu,
 };

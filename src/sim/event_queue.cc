@@ -70,6 +70,13 @@ EventId
 EventQueue::schedule(Tick when, EventCallback fn, EventClass cls,
                      EventTag tag)
 {
+    return scheduleKeyed(when, reserveKey(cls), std::move(fn), tag);
+}
+
+EventId
+EventQueue::scheduleKeyed(Tick when, EventKey key, EventCallback fn,
+                          EventTag tag)
+{
     if (when < now_)
         panic("event scheduled in the past (when=%llu now=%llu)",
               static_cast<unsigned long long>(when),
@@ -79,10 +86,7 @@ EventQueue::schedule(Tick when, EventCallback fn, EventClass cls,
     s.fn = std::move(fn);
     s.tag = tag;
     s.live = true;
-    std::uint64_t seq = nextSeq_++;
-    Entry e{when,
-            (static_cast<std::uint64_t>(cls) << ClsShift) | seq,
-            (static_cast<std::uint64_t>(s.gen) << 32) | slot};
+    Entry e{when, key, (static_cast<std::uint64_t>(s.gen) << 32) | slot};
     if (mode_ == KernelMode::Reference) {
         // Sorted insert, descending, so the soonest event is at the
         // back.  upper_bound keeps ties (impossible: seq is unique)
@@ -414,6 +418,7 @@ EventQueue::step()
     releaseSlot(entrySlot(e));
     --pending_;
     now_ = e.when;
+    curKey_ = e.key;
     fn();
     return true;
 }
@@ -432,6 +437,7 @@ EventQueue::runUntil(Tick limit)
             releaseSlot(entrySlot(e));
             --pending_;
             now_ = e.when;
+            curKey_ = e.key;
             fn();
             ++executed;
         }
@@ -446,14 +452,19 @@ EventQueue::runUntil(Tick limit)
             releaseSlot(entrySlot(e));
             --pending_;
             now_ = e.when;
+            curKey_ = e.key;
             fn();
             ++executed;
         }
     }
     // Advance the clock to the horizon unless stopped early; any
-    // remaining events all lie beyond it.
-    if (!stopped_ && limit != MaxTick && now_ < limit)
-        now_ = limit;
+    // remaining events all lie beyond it, so every key up to the
+    // (possibly advanced) now has passed.
+    if (!stopped_) {
+        if (limit != MaxTick && now_ < limit)
+            now_ = limit;
+        curKey_ = ~EventKey(0);
+    }
     return executed;
 }
 
@@ -471,13 +482,13 @@ EventQueue::gatherLive(std::vector<Entry> &out) const
 }
 
 std::vector<PendingEvent>
-EventQueue::exportPending() const
+EventQueue::exportPending(const std::vector<DeferredEvent> &deferred) const
 {
-    // Collect live entries from every sub-queue, sort by execution
-    // order, then emit their tags: the restore side re-schedules in
-    // this order with fresh sequences, which reproduces every
-    // same-tick tie-break regardless of which sub-queue an event
-    // originally sat in.
+    // Collect live entries from every sub-queue plus the deferred
+    // steps, sort by execution order, then emit their tags: the
+    // restore side re-schedules (or re-reserves) in this order with
+    // fresh sequences, which reproduces every same-tick tie-break
+    // regardless of which sub-queue an event originally sat in.
     std::vector<Entry> live;
     live.reserve(pending_);
     if (mode_ == KernelMode::Reference) {
@@ -486,20 +497,31 @@ EventQueue::exportPending() const
     } else {
         gatherLive(live);
     }
-    std::sort(live.begin(), live.end(), Lt{});
+    struct Keyed
+    {
+        Tick when;
+        EventKey key;
+        const EventTag *tag;
+    };
+    std::vector<Keyed> all;
+    all.reserve(live.size() + deferred.size());
+    for (const Entry &e : live)
+        all.push_back({e.when, e.key, &slots_[entrySlot(e)].tag});
+    for (const DeferredEvent &d : deferred)
+        all.push_back({d.when, d.key, &d.tag});
+    std::sort(all.begin(), all.end(), Lt{});
     std::vector<PendingEvent> out;
-    out.reserve(live.size());
-    for (const Entry &e : live) {
-        const EventTag &tag = slots_[entrySlot(e)].tag;
-        if (tag.kind == EvEphemeral)
+    out.reserve(all.size());
+    for (const Keyed &k : all) {
+        const auto cls = static_cast<EventClass>(k.key >> ClsShift);
+        if (k.tag->kind == EvEphemeral)
             continue;
-        if (tag.kind == EvNone)
+        if (k.tag->kind == EvNone)
             fatal("checkpoint: untagged event pending at tick %llu "
                   "(class %u) cannot be serialized",
-                  static_cast<unsigned long long>(e.when),
-                  static_cast<unsigned>(entryCls(e)));
-        out.push_back(
-            {e.when, static_cast<EventClass>(entryCls(e)), tag});
+                  static_cast<unsigned long long>(k.when),
+                  static_cast<unsigned>(cls));
+        out.push_back({k.when, cls, *k.tag});
     }
     return out;
 }
@@ -545,6 +567,7 @@ EventQueue::setNow(Tick t)
     if (mode_ == KernelMode::Fast && stale_ != 0)
         sweep();  // leftover corpses would sit behind the new anchor
     now_ = t;
+    curKey_ = ~EventKey(0);
     wheelNow_ = t;
     curPos_ = 0;
     curSorted_ = false;

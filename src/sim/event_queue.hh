@@ -86,11 +86,29 @@ struct EventTag
     std::uint64_t b = 0;      ///< kind-specific operand
 };
 
+/**
+ * Same-tick ordering key of an event: its class above a 56-bit
+ * insertion sequence, so (tick, key) is the total execution order.
+ */
+using EventKey = std::uint64_t;
+
 /** One pending event as exported for a checkpoint. */
 struct PendingEvent
 {
     Tick when = 0;
     EventClass cls = EventClass::Hardware;
+    EventTag tag;
+};
+
+/**
+ * A step a component applies lazily instead of posting as an event
+ * (see EventQueue::reserveKey()), listed for a checkpoint under the
+ * key and tag its event would have had.
+ */
+struct DeferredEvent
+{
+    Tick when = 0;
+    EventKey key = 0;
     EventTag tag;
 };
 
@@ -123,12 +141,44 @@ class EventQueue
     /**
      * Schedule fn at absolute tick `when` (>= now).  `tag` is the
      * event's serializable identity for checkpointing; untagged events
-     * are legal to run but fatal to checkpoint.
+     * are legal to run but fatal to checkpoint.  Same as
+     * scheduleKeyed(when, reserveKey(cls), fn, tag).
      * @return an id usable with cancel().
      */
     EventId schedule(Tick when, EventCallback fn,
                      EventClass cls = EventClass::Hardware,
                      EventTag tag = {});
+
+    /**
+     * Consume the key schedule() would give an event of class `cls`
+     * now, without scheduling anything.  A component that applies a
+     * state step lazily reserves the step's key where it used to
+     * schedule it, so every other event keeps its sequence number,
+     * and applies the step once passed() says the kernel is past it.
+     */
+    EventKey
+    reserveKey(EventClass cls = EventClass::Hardware)
+    {
+        return (static_cast<EventKey>(cls) << ClsShift) | nextSeq_++;
+    }
+
+    /** Schedule fn at `when` under a key from reserveKey(). */
+    EventId scheduleKeyed(Tick when, EventKey key, EventCallback fn,
+                          EventTag tag = {});
+
+    /**
+     * Whether an event at (when, key) would have run by now: (when,
+     * key) is at or before the event now running, its own key
+     * included.  Between runs the position is (now, after every key)
+     * — after runUntil() returns without stop() and after setNow() —
+     * while a stop() leaves it at the stopping event, so same-tick
+     * steps with later keys stay pending.
+     */
+    bool
+    passed(Tick when, EventKey key) const
+    {
+        return when < now_ || (when == now_ && key <= curKey_);
+    }
 
     /** Schedule fn `delta` ticks from now. */
     EventId
@@ -169,16 +219,20 @@ class EventQueue
     /**
      * Export every pending event's tag, sorted by execution order
      * (when, class, insertion sequence).  EvEphemeral-tagged events
-     * (the checkpoint writer's own) are skipped; an untagged
+     * (see sim/event_kinds.hh) are skipped; an untagged
      * (EvNone) live event is fatal — it could not be reconstructed.
      *
      * Order-stability guarantee: the exported order is the exact
      * order the events would have executed in, independent of kernel
      * mode and of which sub-queue (calendar bucket or overflow heap)
      * each event sits in — (when, class, seq) is a total order and
-     * seq is assigned at schedule time.
+     * seq is assigned at schedule time.  `deferred` steps (pending
+     * work kept outside the queue under reserved keys) are merged in
+     * at their keys, so the list is what the queue would hold had
+     * each step been scheduled as an event.
      */
-    std::vector<PendingEvent> exportPending() const;
+    std::vector<PendingEvent>
+    exportPending(const std::vector<DeferredEvent> &deferred = {}) const;
 
     /**
      * Destroy every pending event (restore drops the freshly
@@ -207,7 +261,7 @@ class EventQueue
     struct Entry
     {
         Tick when;
-        std::uint64_t key;
+        EventKey key;
         std::uint64_t id;
     };
 
@@ -228,10 +282,6 @@ class EventQueue
     static std::uint32_t entryGen(const Entry &e)
     {
         return static_cast<std::uint32_t>(e.id >> 32);
-    }
-    static std::uint8_t entryCls(const Entry &e)
-    {
-        return static_cast<std::uint8_t>(e.key >> ClsShift);
     }
 
     /** Pooled callback storage, recycled through freeHead_. */
@@ -326,6 +376,11 @@ class EventQueue
     /** Entries whose event has been cancelled but not yet reclaimed. */
     std::size_t stale_ = 0;
     Tick now_ = 0;
+    /**
+     * Key of the event now running (see passed()); 0 on a fresh
+     * queue, before every key at tick 0.
+     */
+    EventKey curKey_ = 0;
     std::uint64_t nextSeq_ = 1;
     bool stopped_ = false;
     KernelMode mode_ = KernelMode::Fast;

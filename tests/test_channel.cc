@@ -8,11 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <utility>
 #include <vector>
 
 #include "mem/client.hh"
 #include "mem/controller.hh"
+#include "sim/event_kinds.hh"
 #include "sim/event_queue.hh"
 
 using namespace memscale;
@@ -382,4 +384,47 @@ TEST(Channel, BurstTimeAccounting)
     h.readAndWait(h.at(1, 0, 0, 1));
     McCounters c = h.mc.sampleCounters();
     EXPECT_EQ(c.busBusyTime, 2 * TimingParams::at(0).tBURST);
+}
+
+// Rank open/close accounting is applied lazily (Channel::settle), but
+// every new step settles its rank first, so the pending steps stay
+// bounded by what is in flight even when nothing ever samples the
+// ranks (the static baseline has no epoch reader).
+TEST(Channel, DeferredRankStepsStayBoundedWithoutReaders)
+{
+    Harness h;
+    const std::uint32_t streams = 16;
+    const std::uint32_t perStream = 400;
+    std::uint64_t issued = 0;
+    std::uint64_t lcg = 12345;
+    auto next_addr = [&] {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        return (lcg >> 20) % h.cfg.totalBytes() / h.cfg.lineBytes *
+               h.cfg.lineBytes;
+    };
+    std::vector<std::uint32_t> left(streams, perStream);
+    std::function<void(std::uint32_t)> issue = [&](std::uint32_t s) {
+        if (left[s]-- == 0)
+            return;
+        ++issued;
+        h.read(next_addr(), s, [&, s](Tick) { issue(s); });
+    };
+    for (std::uint32_t s = 0; s < streams; ++s)
+        issue(s);
+    h.eq.runUntil();
+    ASSERT_EQ(issued, std::uint64_t(streams) * perStream);
+
+    const std::size_t ranks =
+        std::size_t(h.cfg.numChannels) * h.cfg.ranksPerChannel();
+    const std::vector<DeferredEvent> steps = h.mc.deferredSteps();
+    EXPECT_LE(steps.size(), ranks * (2 * h.cfg.banksPerRank + 1))
+        << "of " << issued << " requests";
+    // A sample applies every step the kernel has passed; only the
+    // trailing precharges, due after the last completion event, stay.
+    const McCounters c = h.mc.sampleCounters();
+    EXPECT_EQ(c.pocc, c.reads);
+    for (const DeferredEvent &d : h.mc.deferredSteps()) {
+        EXPECT_EQ(d.tag.kind, static_cast<std::uint32_t>(EvChanPreDone));
+        EXPECT_GT(d.when, h.eq.now());
+    }
 }

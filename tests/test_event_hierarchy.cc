@@ -4,8 +4,9 @@
  * that the basic kernel suite (test_sim) does not reach: far-future
  * events beyond the calendar horizon crossing back in as the wheel
  * rolls over, cancel-then-reschedule across bucket and level
- * boundaries, same-tick FIFO across event kinds, and
- * exportPending/restore byte-identity with cancelled entries.
+ * boundaries, same-tick FIFO across event kinds,
+ * exportPending/restore byte-identity with cancelled entries, and the
+ * reserved-key contract of deferred steps.
  */
 
 #include <gtest/gtest.h>
@@ -330,5 +331,96 @@ TEST(EventHierarchy, MirroredFuzzAgainstReference)
         ref.runUntil();
         EXPECT_EQ(ffired, rfired) << "round " << round;
         EXPECT_EQ(fast.now(), ref.now()) << "round " << round;
+    }
+}
+
+// The reserved-key contract behind deferred steps (reserveKey /
+// passed / scheduleKeyed / exportPending's deferred list): a key
+// reserved between scheduling A and B at the same tick sits exactly
+// between them, in both kernel modes.
+TEST(EventHierarchy, ReservedKeySitsBetweenNeighbours)
+{
+    const Tick t = 5000;
+    for (KernelMode mode : {KernelMode::Fast, KernelMode::Reference}) {
+        EventQueue eq(mode);
+        std::vector<int> passedIn;  // passed(t, K) inside A, B: 0/1
+        std::vector<int> order;
+        EventKey k = 0;
+        eq.schedule(t, [&] {
+            order.push_back(1);
+            passedIn.push_back(eq.passed(t, k));
+        });
+        k = eq.reserveKey();
+        eq.schedule(t, [&] {
+            order.push_back(3);
+            passedIn.push_back(eq.passed(t, k));
+        });
+        EXPECT_FALSE(eq.passed(t, k));
+        eq.runUntil(t);
+        EXPECT_EQ(passedIn, (std::vector<int>{0, 1}));
+        EXPECT_EQ(order, (std::vector<int>{1, 3}));
+        EXPECT_TRUE(eq.passed(t, k));
+        eq.setNow(t + 10);
+        EXPECT_TRUE(eq.passed(t, k));
+        EXPECT_TRUE(eq.passed(t + 10, eq.reserveKey()));
+    }
+}
+
+TEST(EventHierarchy, PassedStaysPutAfterStop)
+{
+    const Tick t = 5000;
+    for (KernelMode mode : {KernelMode::Fast, KernelMode::Reference}) {
+        EventQueue eq(mode);
+        EventKey k = 0;
+        eq.schedule(t, [&] { eq.stop(); });
+        k = eq.reserveKey();
+        bool ranB = false;
+        eq.schedule(t, [&] { ranB = true; });
+        eq.runUntil();
+        // Stopped inside A: the kernel is not past K, although the
+        // clock reads t.
+        EXPECT_EQ(eq.now(), t);
+        EXPECT_FALSE(ranB);
+        EXPECT_FALSE(eq.passed(t, k));
+        eq.runUntil();
+        EXPECT_TRUE(ranB);
+        EXPECT_TRUE(eq.passed(t, k));
+    }
+}
+
+TEST(EventHierarchy, ScheduleKeyedRunsAtItsReservedPlace)
+{
+    const Tick t = 5000;
+    for (KernelMode mode : {KernelMode::Fast, KernelMode::Reference}) {
+        EventQueue eq(mode);
+        std::vector<int> order;
+        eq.schedule(t, [&] { order.push_back(1); });
+        const EventKey k = eq.reserveKey();
+        eq.schedule(t, [&] { order.push_back(3); });
+        // Scheduled last, under the key reserved second.
+        eq.scheduleKeyed(t, k, [&] { order.push_back(2); });
+        eq.runUntil();
+        EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    }
+}
+
+TEST(EventHierarchy, ExportMergesDeferredAtItsKey)
+{
+    const Tick t = 5000;
+    for (KernelMode mode : {KernelMode::Fast, KernelMode::Reference}) {
+        EventQueue eq(mode);
+        eq.schedule(t, [] {}, EventClass::Hardware, calTag(1));
+        const EventKey k = eq.reserveKey();
+        eq.schedule(t, [] {}, EventClass::Hardware, calTag(3));
+        const EventTag deferred{EvChanPreDone, 0, 2, 0};
+        const std::vector<PendingEvent> exp =
+            eq.exportPending({{t, k, deferred}});
+        ASSERT_EQ(exp.size(), 3u);
+        EXPECT_EQ(exp[0].tag.a, 1u);
+        EXPECT_EQ(exp[1].tag.kind, static_cast<std::uint32_t>(EvChanPreDone));
+        EXPECT_EQ(exp[1].tag.a, 2u);
+        EXPECT_EQ(exp[1].when, t);
+        EXPECT_EQ(exp[1].cls, EventClass::Hardware);
+        EXPECT_EQ(exp[2].tag.a, 3u);
     }
 }

@@ -15,6 +15,7 @@
 #include "harness/report.hh"
 #include "mem/client.hh"
 #include "mem/controller.hh"
+#include "memscale/policies/policy.hh"
 #include "sim/event_queue.hh"
 
 using namespace memscale;
@@ -231,4 +232,40 @@ TEST(PolicyRegistry, NewBaselinesRegistered)
               names.end());
     EXPECT_EQ(makePolicy("srpd")->name(), "srpd");
     EXPECT_EQ(makePolicy("throttle")->name(), "throttle");
+}
+
+// Deterministic kernel cost: events executed per DRAM request.  Each
+// request costs its completion event plus (for a read) the core's
+// next issue; the rank open/close accounting at the ACT and
+// precharge-done ticks is applied lazily and must not come back as
+// events.  Closed-loop, no powerdown: without the deferred steps this
+// ratio is about 4.
+TEST(EventCost, AtMostTwoEventsPerDramRequest)
+{
+    for (const char *mix : {"ILP1", "MID3", "MEM4"}) {
+        for (const char *policy : {"baseline", "memscale"}) {
+            SystemConfig cfg;  // the benchmark's closed_sweep config
+            cfg.mixName = mix;
+            cfg.instrBudget = 2'000'000;
+            cfg.epochLen = msToTick(0.25);
+            cfg.profileLen = usToTick(25.0);
+            cfg.numCores = 16;
+            cfg.mem.numChannels = 4;
+            cfg.power.proportionality = 0.5;
+            cfg.seed = 1;
+            cfg.restWatts = 150.0;
+            std::unique_ptr<Policy> pol = makePolicy(policy);
+            System sys(cfg, *pol);
+            sys.advanceTo(cfg.maxSimTime);
+            const std::uint64_t events = sys.eventsExecuted();
+            const RunResult r = sys.finish();
+            const double reqs =
+                static_cast<double>(r.counters.reads + r.counters.writes);
+            ASSERT_GT(reqs, 0.0);
+            const double ratio = static_cast<double>(events) / reqs;
+            std::printf("%s/%s: %.3f events per DRAM request\n", mix,
+                        policy, ratio);
+            EXPECT_LE(ratio, 2.1) << mix << "/" << policy;
+        }
+    }
 }
