@@ -14,8 +14,11 @@
 
 using namespace memscale;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     Config conf;
     SystemConfig cfg = benchConfig(argc, argv, &conf);
@@ -59,4 +62,12 @@ main(int argc, char **argv)
                 "system energy by also shrinking\nCPU energy on "
                 "memory-heavy mixes, within the same CPI bound.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchMain(argc, argv, run);
 }

@@ -13,8 +13,11 @@
 
 using namespace memscale;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     Config conf;
     SystemConfig cfg = benchConfig(argc, argv, &conf);
@@ -110,4 +113,12 @@ main(int argc, char **argv)
                 "4.1);\nconsolidation trades bounded copy traffic for "
                 "deep-state residency on cold ranks.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchMain(argc, argv, run);
 }

@@ -25,8 +25,11 @@ skewedApps()
 
 } // namespace
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     Config conf;
     SystemConfig cfg = benchConfig(argc, argv, &conf);
@@ -63,4 +66,12 @@ main(int argc, char **argv)
                 "expected result; gains require skewed channel "
                 "traffic.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchMain(argc, argv, run);
 }

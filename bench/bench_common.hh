@@ -12,7 +12,8 @@
  * Every driver fans its independent runs out on a SweepEngine sized
  * by `jobs=N` / `--jobs N` / MEMSCALE_JOBS (default: all hardware
  * threads).  Results are aggregated by task index, so the printed
- * tables are byte-identical for any job count.
+ * tables are byte-identical for any job count.  Every driver's `main`
+ * is benchMain(), so a fatal() exits 2 with its message.
  */
 
 #ifndef MEMSCALE_BENCH_BENCH_COMMON_HH
@@ -22,6 +23,7 @@
 #include <cstring>
 
 #include "common/config.hh"
+#include "common/log.hh"
 #include "harness/differential.hh"
 #include "harness/experiment.hh"
 #include "harness/report.hh"
@@ -31,6 +33,23 @@
 
 namespace memscale
 {
+
+/**
+ * A driver's `main`: runs `body`, turning a FatalError into exit
+ * status 2.  fatal() has already printed the `fatal: …` line, so bad
+ * input (an unknown value, a missing resume file) ends with that
+ * message and a nonzero exit instead of an uncaught-exception abort.
+ */
+template <typename Body>
+int
+benchMain(int argc, char **argv, Body body)
+{
+    try {
+        return body(argc, argv);
+    } catch (const FatalError &) {
+        return 2;
+    }
+}
 
 inline SystemConfig
 benchConfig(int argc, char **argv, Config *out_conf = nullptr)

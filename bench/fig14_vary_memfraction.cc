@@ -11,8 +11,11 @@
 
 using namespace memscale;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     Config conf;
     SystemConfig cfg = benchConfig(argc, argv, &conf);
@@ -38,4 +41,12 @@ main(int argc, char **argv)
     t.print("Fig. 14: memory-power-fraction sensitivity (paper: "
             "30%->50% roughly doubles savings)");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchMain(argc, argv, run);
 }

@@ -13,8 +13,11 @@
 
 using namespace memscale;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     Config conf;
     SystemConfig cfg = benchConfig(argc, argv, &conf);
@@ -41,4 +44,12 @@ main(int argc, char **argv)
     t.print("Fig. 15: proportionality sensitivity (paper: lower "
             "proportionality -> higher savings, ~23% at 100%)");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchMain(argc, argv, run);
 }

@@ -10,8 +10,11 @@
 
 using namespace memscale;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     Config conf;
     SystemConfig cfg = benchConfig(argc, argv, &conf);
@@ -66,4 +69,12 @@ main(int argc, char **argv)
                 "act/pre + W/R significant only for MEM;\n"
                 "PLL/REG and MC are significant everywhere.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchMain(argc, argv, run);
 }

@@ -12,8 +12,11 @@
 
 using namespace memscale;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     Config conf;
     SystemConfig cfg = benchConfig(argc, argv, &conf);
@@ -52,4 +55,12 @@ main(int argc, char **argv)
                 pct(mem_min).c_str(), pct(mem_max).c_str(),
                 pct(sys_min).c_str(), pct(sys_max).c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchMain(argc, argv, run);
 }

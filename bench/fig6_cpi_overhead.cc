@@ -11,8 +11,11 @@
 
 using namespace memscale;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     Config conf;
     SystemConfig cfg = benchConfig(argc, argv, &conf);
@@ -51,4 +54,12 @@ main(int argc, char **argv)
                 pct(global_worst).c_str(), pct(worst_avg).c_str(),
                 pct(cfg.gamma).c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchMain(argc, argv, run);
 }

@@ -12,8 +12,11 @@
 
 using namespace memscale;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     Config conf;
     SystemConfig cfg = benchConfig(argc, argv, &conf);
@@ -60,4 +63,12 @@ main(int argc, char **argv)
     std::printf("apsi worst CPI increase: %s (bound %s)\n",
                 pct(r.worstCpiIncrease).c_str(), pct(cfg.gamma).c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchMain(argc, argv, run);
 }

@@ -12,8 +12,11 @@
 
 using namespace memscale;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     Config conf;
     SystemConfig cfg = benchConfig(argc, argv, &conf);
@@ -50,4 +53,12 @@ main(int argc, char **argv)
     t.print("Fig. 9: MID-average energy savings by policy "
             "(paper: MemScale ~3x Decoupled; Slow-PD negative)");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchMain(argc, argv, run);
 }

@@ -70,8 +70,11 @@ meanFleetW(const FleetResult &r)
 
 } // namespace
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     Config conf;
     SystemConfig cfg = benchConfig(argc, argv, &conf);
@@ -171,4 +174,12 @@ main(int argc, char **argv)
     t.print("Fleet energy vs. aggregate p99 attainment by cap level "
             "(viol = coordination epochs over the cap)");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchMain(argc, argv, run);
 }

@@ -11,8 +11,11 @@
 
 using namespace memscale;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     Config conf;
     SystemConfig cfg = benchConfig(argc, argv, &conf);
@@ -43,4 +46,12 @@ main(int argc, char **argv)
     t.print("32-core traffic scaling (paper: 7.6-10.4% savings at 32 "
             "cores, bound respected)");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchMain(argc, argv, run);
 }

@@ -13,8 +13,11 @@
 
 using namespace memscale;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     Config conf;
     SystemConfig cfg = benchConfig(argc, argv, &conf);
@@ -65,4 +68,12 @@ main(int argc, char **argv)
     std::printf("\npaper: essentially insensitive to both "
                 "parameters.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchMain(argc, argv, run);
 }

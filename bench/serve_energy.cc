@@ -50,8 +50,11 @@ splitList(const std::string &s)
 
 } // namespace
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     Config conf;
     SystemConfig cfg = benchConfig(argc, argv, &conf);
@@ -122,4 +125,12 @@ main(int argc, char **argv)
     t.print("Energy vs. tail latency by arrival intensity "
             "(p99.9 needs enough completions to be meaningful)");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchMain(argc, argv, run);
 }

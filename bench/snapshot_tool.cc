@@ -31,8 +31,11 @@
 
 using namespace memscale;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     Config conf;
     SystemConfig cfg = benchConfig(argc, argv, &conf);
@@ -81,4 +84,12 @@ main(int argc, char **argv)
     if (r.stoppedAtCheckpoint)
         std::printf("stopped_at_checkpoint 1\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchMain(argc, argv, run);
 }

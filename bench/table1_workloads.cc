@@ -9,8 +9,11 @@
 
 using namespace memscale;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     Config conf;
     SystemConfig cfg = benchConfig(argc, argv, &conf);
@@ -39,4 +42,12 @@ main(int argc, char **argv)
     }
     t.print("Table 1: workload characteristics");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchMain(argc, argv, run);
 }

@@ -11,8 +11,11 @@
 
 using namespace memscale;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     SystemConfig cfg = benchConfig(argc, argv);
     benchHeader("Table 2", "main system settings as instantiated", cfg);
@@ -75,4 +78,12 @@ main(int argc, char **argv)
               "512 cycles + 28 ns"});
     t.print("Table 2: main system settings");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchMain(argc, argv, run);
 }

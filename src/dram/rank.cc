@@ -306,14 +306,18 @@ void
 Rank::recordAct(Tick when)
 {
     // Keep the window sorted; planning may insert slightly out of
-    // wall-clock order across banks.
+    // wall-clock order across banks.  A full window drops its oldest
+    // entry first, then `when` is inserted behind every entry it does
+    // not precede.
     if (numRecentActs_ == recentActs_.size()) {
         std::copy(recentActs_.begin() + 1, recentActs_.end(),
                   recentActs_.begin());
         --numRecentActs_;
     }
-    recentActs_[numRecentActs_++] = when;
-    std::sort(recentActs_.begin(), recentActs_.begin() + numRecentActs_);
+    std::uint32_t i = numRecentActs_++;
+    for (; i > 0 && when < recentActs_[i - 1]; --i)
+        recentActs_[i] = recentActs_[i - 1];
+    recentActs_[i] = when;
 }
 
 const RankActivity &

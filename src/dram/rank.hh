@@ -15,7 +15,7 @@
 
 #include <array>
 #include <cstdint>
-
+#include <span>
 #include <string>
 
 #include "common/types.hh"
@@ -145,6 +145,13 @@ class Rank
 
     /** Record an ACT (possibly out of wall-clock order across banks). */
     void recordAct(Tick when);
+
+    /** The recorded ACT window, sorted ascending. */
+    std::span<const Tick>
+    actWindow() const
+    {
+        return {recentActs_.data(), numRecentActs_};
+    }
     /// @}
 
     /** Flush integration up to `now` and return cumulative activity. */

@@ -38,13 +38,7 @@ class EventCallback
                   std::is_invocable_r_v<void, D &>>>
     EventCallback(F &&f)   // NOLINT: implicit by design, mirrors std::function
     {
-        if constexpr (fitsInline<D>()) {
-            ::new (static_cast<void *>(buf_)) D(std::forward<F>(f));
-            ops_ = &inlineOps<D>;
-        } else {
-            *reinterpret_cast<D **>(buf_) = new D(std::forward<F>(f));
-            ops_ = &heapOps<D>;
-        }
+        emplace<D>(std::forward<F>(f));
     }
 
     EventCallback(EventCallback &&o) noexcept
@@ -83,6 +77,26 @@ class EventCallback
         }
     }
 
+    /**
+     * Replace the held callable with `f`, constructed directly in this
+     * object's buffer: no temporary EventCallback and no relocation.
+     * An EventCallback rvalue is move-assigned instead.
+     */
+    template <typename F>
+    void
+    assign(F &&f)
+    {
+        using D = std::decay_t<F>;
+        if constexpr (std::is_same_v<D, EventCallback>) {
+            *this = std::forward<F>(f);
+        } else {
+            static_assert(std::is_invocable_r_v<void, D &>,
+                          "EventCallback::assign needs a void() callable");
+            reset();
+            emplace<D>(std::forward<F>(f));
+        }
+    }
+
     void
     operator()()
     {
@@ -115,6 +129,20 @@ class EventCallback
          */
         bool trivial;
     };
+
+    /** Construct a D from f into the (empty) buffer. */
+    template <typename D, typename F>
+    void
+    emplace(F &&f)
+    {
+        if constexpr (fitsInline<D>()) {
+            ::new (static_cast<void *>(buf_)) D(std::forward<F>(f));
+            ops_ = &inlineOps<D>;
+        } else {
+            *reinterpret_cast<D **>(buf_) = new D(std::forward<F>(f));
+            ops_ = &heapOps<D>;
+        }
+    }
 
     void
     relocateFrom(EventCallback &o) noexcept

@@ -38,11 +38,38 @@ struct Gt
     }
 };
 
+/**
+ * Sort a bucket entering the cursor.  Most hold one or two entries,
+ * where std::sort's setup dominates, so small buckets are
+ * insertion-sorted; keys are unique, so the order is the same.
+ */
+template <typename E>
+void
+sortBucket(std::vector<E> &v)
+{
+    constexpr std::size_t SmallBucket = 16;
+    if (v.size() > SmallBucket) {
+        std::sort(v.begin(), v.end(), Lt{});
+        return;
+    }
+    for (std::size_t i = 1; i < v.size(); ++i) {
+        const E e = v[i];
+        std::size_t j = i;
+        for (; j > 0 && Lt{}(e, v[j - 1]); --j)
+            v[j] = v[j - 1];
+        v[j] = e;
+    }
+}
+
 } // namespace
 
 std::uint32_t
-EventQueue::allocSlot()
+EventQueue::allocSlot(Tick when)
 {
+    if (when < now_)
+        panic("event scheduled in the past (when=%llu now=%llu)",
+              static_cast<unsigned long long>(when),
+              static_cast<unsigned long long>(now_));
     if (freeHead_ != NoSlot) {
         std::uint32_t idx = freeHead_;
         freeHead_ = slots_[idx].nextFree;
@@ -67,23 +94,10 @@ EventQueue::releaseSlot(std::uint32_t idx)
 }
 
 EventId
-EventQueue::schedule(Tick when, EventCallback fn, EventClass cls,
-                     EventTag tag)
+EventQueue::enqueue(std::uint32_t slot, Tick when, EventKey key,
+                    const EventTag &tag)
 {
-    return scheduleKeyed(when, reserveKey(cls), std::move(fn), tag);
-}
-
-EventId
-EventQueue::scheduleKeyed(Tick when, EventKey key, EventCallback fn,
-                          EventTag tag)
-{
-    if (when < now_)
-        panic("event scheduled in the past (when=%llu now=%llu)",
-              static_cast<unsigned long long>(when),
-              static_cast<unsigned long long>(now_));
-    std::uint32_t slot = allocSlot();
     Slot &s = slots_[slot];
-    s.fn = std::move(fn);
     s.tag = tag;
     s.live = true;
     Entry e{when, key, (static_cast<std::uint64_t>(s.gen) << 32) | slot};
@@ -267,7 +281,7 @@ EventQueue::popCalendar(const Entry &head)
                 (BucketsPerLevel - 1);
             auto &v = wheels_[0].b[curIdx];
             if (!curSorted_) {
-                std::sort(v.begin(), v.end(), Lt{});
+                sortBucket(v);
                 curSorted_ = true;
                 curPos_ = 0;
             }

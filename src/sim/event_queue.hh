@@ -38,6 +38,7 @@
 
 #include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -145,9 +146,14 @@ class EventQueue
      * scheduleKeyed(when, reserveKey(cls), fn, tag).
      * @return an id usable with cancel().
      */
-    EventId schedule(Tick when, EventCallback fn,
-                     EventClass cls = EventClass::Hardware,
-                     EventTag tag = {});
+    template <typename F>
+    EventId
+    schedule(Tick when, F &&fn, EventClass cls = EventClass::Hardware,
+             EventTag tag = {})
+    {
+        return scheduleKeyed(when, reserveKey(cls), std::forward<F>(fn),
+                             tag);
+    }
 
     /**
      * Consume the key schedule() would give an event of class `cls`
@@ -162,9 +168,19 @@ class EventQueue
         return (static_cast<EventKey>(cls) << ClsShift) | nextSeq_++;
     }
 
-    /** Schedule fn at `when` under a key from reserveKey(). */
-    EventId scheduleKeyed(Tick when, EventKey key, EventCallback fn,
-                          EventTag tag = {});
+    /**
+     * Schedule fn at `when` under a key from reserveKey().  The
+     * callable is constructed straight into its slab slot (see
+     * EventCallback::assign()).
+     */
+    template <typename F>
+    EventId
+    scheduleKeyed(Tick when, EventKey key, F &&fn, EventTag tag = {})
+    {
+        const std::uint32_t slot = allocSlot(when);
+        slots_[slot].fn.assign(std::forward<F>(fn));
+        return enqueue(slot, when, key, tag);
+    }
 
     /**
      * Whether an event at (when, key) would have run by now: (when,
@@ -181,11 +197,12 @@ class EventQueue
     }
 
     /** Schedule fn `delta` ticks from now. */
+    template <typename F>
     EventId
-    scheduleIn(Tick delta, EventCallback fn,
-               EventClass cls = EventClass::Hardware, EventTag tag = {})
+    scheduleIn(Tick delta, F &&fn, EventClass cls = EventClass::Hardware,
+               EventTag tag = {})
     {
-        return schedule(now_ + delta, std::move(fn), cls, tag);
+        return schedule(now_ + delta, std::forward<F>(fn), cls, tag);
     }
 
     /**
@@ -319,8 +336,16 @@ class EventQueue
         return s.live && s.gen == entryGen(e);
     }
 
-    std::uint32_t allocSlot();
+    /** Take a free slot for an event at `when` (panics if past). */
+    std::uint32_t allocSlot(Tick when);
     void releaseSlot(std::uint32_t idx);
+
+    /**
+     * Publish a claimed slot whose callback is in place: mark it live
+     * and insert its ordering entry.  Returns the event's id.
+     */
+    EventId enqueue(std::uint32_t slot, Tick when, EventKey key,
+                    const EventTag &tag);
 
     /** Place an entry into wheels/overflow (placement only). */
     void placeCalendar(const Entry &e);

@@ -1,12 +1,16 @@
 /**
  * @file
  * Unit tests for DDR3 timing parameters and the rank state machine:
- * frequency scaling laws, tRRD/tFAW enforcement, background-state time
- * integration, powerdown accounting.
+ * frequency scaling laws, tRRD/tFAW enforcement and the sorted ACT
+ * window, background-state time integration, powerdown accounting.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/rng.hh"
 #include "dram/rank.hh"
 #include "dram/timing.hh"
 
@@ -103,6 +107,44 @@ TEST(Rank, OutOfOrderActRecording)
     r.recordAct(5000);   // planned out of order
     // tRRD measured from the latest ACT (10000), not insertion order.
     EXPECT_EQ(r.earliestAct(10000, tp), 10000 + tp.tRRD);
+}
+
+TEST(Rank, ActWindowMatchesSortedReference)
+{
+    // The window is kept sorted by insertion; a reference that
+    // appends and std::sorts (dropping the oldest of a full window
+    // first) must agree after every ACT, out-of-order and duplicate
+    // times included, well past the 8-entry capacity.
+    const TimingParams &tp = TimingParams::at(0);
+    Rng rng(42);
+    Rank r;
+    std::vector<Tick> ref;
+    Tick base = 100000;
+    for (int i = 0; i < 500; ++i) {
+        base += rng.next() % 4000;
+        // Planned up to a few tRRD behind the newest ACT, or tied with
+        // an ACT already in the window.
+        const Tick when = (i % 5 == 0 && !ref.empty())
+                              ? ref[rng.next() % ref.size()]
+                              : base - rng.next() % 20000;
+        r.recordAct(when);
+        if (ref.size() == 8)
+            ref.erase(ref.begin());
+        ref.push_back(when);
+        std::sort(ref.begin(), ref.end());
+
+        ASSERT_EQ(std::vector<Tick>(r.actWindow().begin(),
+                                    r.actWindow().end()),
+                  ref)
+            << "after ACT " << i;
+        for (Tick t : {when, base, base + tp.tFAW}) {
+            Tick want = std::max(t, ref.back() + tp.tRRD);
+            if (ref.size() >= 4)
+                want = std::max(want, ref[ref.size() - 4] + tp.tFAW);
+            ASSERT_EQ(r.earliestAct(t, tp), want)
+                << "after ACT " << i << " at t=" << t;
+        }
+    }
 }
 
 TEST(Rank, BackgroundIntegration)

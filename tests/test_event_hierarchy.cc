@@ -4,9 +4,9 @@
  * that the basic kernel suite (test_sim) does not reach: far-future
  * events beyond the calendar horizon crossing back in as the wheel
  * rolls over, cancel-then-reschedule across bucket and level
- * boundaries, same-tick FIFO across event kinds,
- * exportPending/restore byte-identity with cancelled entries, and the
- * reserved-key contract of deferred steps.
+ * boundaries, same-tick FIFO across event kinds, small and large
+ * same-bucket batches, exportPending/restore byte-identity with
+ * cancelled entries, and the reserved-key contract of deferred steps.
  */
 
 #include <gtest/gtest.h>
@@ -179,6 +179,35 @@ TEST(EventHierarchy, SameTickFifoAcrossKinds)
     eq.schedule(1000, push(4), EventClass::Hardware, calTag(0));
     eq.runUntil();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(EventHierarchy, SameBucketBatchesPopInReferenceOrder)
+{
+    // A level-0 bucket is sorted when the cursor enters it: by
+    // insertion up to 16 entries, by std::sort above.  Batches either
+    // side of that cut, scheduled in reverse time order with same-tick
+    // class ties, must pop exactly as the Reference kernel pops them.
+    const Tick bucket = Tick(5) << 12;
+    for (int n : {1, 2, 16, 17}) {
+        std::vector<int> fired[2];
+        int m = 0;
+        for (KernelMode mode : {KernelMode::Fast, KernelMode::Reference}) {
+            EventQueue eq(mode);
+            auto &out = fired[m++];
+            for (int i = n - 1; i >= 0; --i) {
+                const Tick when = bucket + Tick(i / 2) * 97;
+                const auto cls = static_cast<EventClass>((n - i) % 3);
+                eq.schedule(when, [&out, i] { out.push_back(i); }, cls,
+                            calTag(i));
+            }
+            eq.runUntil();
+        }
+        ASSERT_EQ(fired[0].size(), static_cast<std::size_t>(n));
+        EXPECT_EQ(fired[0], fired[1]) << n << " entries";
+        // Time order dominates: labels fall in tick pairs.
+        for (int k = 1; k < n; ++k)
+            EXPECT_LE(fired[0][k - 1] / 2, fired[0][k] / 2);
+    }
 }
 
 TEST(EventHierarchy, SameTickClassBeatsSeq)

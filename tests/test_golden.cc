@@ -134,6 +134,23 @@ fig7TimelineHash()
 
 constexpr std::uint64_t kFig7TimelineGolden = 0xb09fbb1b049d062eull;
 
+/**
+ * Fig. 13's non-power-of-two point: MID3 under MemScale on 3
+ * channels, so the address map's division path (every other golden
+ * runs 4 channels, where each field is a shift and a mask) is pinned
+ * end to end.
+ */
+std::uint64_t
+threeChannelHash()
+{
+    SystemConfig cfg = goldenConfig("MID3");
+    cfg.mem.numChannels = 3;
+    RunResult r = runPolicy(cfg, "memscale", GoldenRestWatts);
+    return hashRunResult(r);
+}
+
+constexpr std::uint64_t kThreeChannelGolden = 0x1ecab8fa73b056d6ull;
+
 } // namespace
 
 TEST(Golden, MixHashesMatch)
@@ -200,6 +217,20 @@ TEST(Golden, Fig7ApsiTimelineMatches)
         << "MID3/apsi per-epoch timeline changed; if intended, "
            "regenerate with MEMSCALE_REGEN_GOLDENS=1 "
            "./build/tests/test_golden";
+}
+
+TEST(Golden, ThreeChannelMixHash)
+{
+    if (regenMode()) {
+        std::printf("constexpr std::uint64_t kThreeChannelGolden = "
+                    "0x%016llxull;\n",
+                    static_cast<unsigned long long>(
+                        threeChannelHash()));
+        GTEST_SKIP() << "regenerated golden printed above";
+    }
+    EXPECT_EQ(threeChannelHash(), kThreeChannelGolden)
+        << "MID3 on 3 channels changed; if intended, regenerate with "
+           "MEMSCALE_REGEN_GOLDENS=1 ./build/tests/test_golden";
 }
 
 TEST(Golden, HashIsRunToRunStable)

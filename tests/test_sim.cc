@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the discrete-event kernel: ordering, same-tick
- * priority classes, cancellation, run limits, stop().
+ * priority classes, cancellation, run limits, stop(), and the
+ * EventCallback holder (inline, heap and in-place construction).
  */
 
 #include <gtest/gtest.h>
@@ -295,4 +296,115 @@ TEST(EventCallback, MoveTransfersOwnership)
     EXPECT_FALSE(watch.expired());
     b = EventCallback();
     EXPECT_TRUE(watch.expired());
+}
+
+namespace
+{
+
+/** Callable that counts its live copies, so leaks and double frees show. */
+struct Counted
+{
+    int *alive;
+    int *calls;
+    explicit Counted(int *a, int *c) : alive(a), calls(c) { ++*alive; }
+    Counted(const Counted &o) : alive(o.alive), calls(o.calls)
+    {
+        ++*alive;
+    }
+    Counted(Counted &&o) noexcept : alive(o.alive), calls(o.calls)
+    {
+        ++*alive;
+    }
+    ~Counted() { --*alive; }
+    void operator()() { ++*calls; }
+};
+
+} // namespace
+
+TEST(EventCallback, AssignBuildsInPlace)
+{
+    int hits = 0;
+    EventCallback cb;
+
+    // Inline capture.
+    cb.assign([&hits] { ++hits; });
+    ASSERT_TRUE(cb);
+    cb();
+    EXPECT_EQ(hits, 1);
+
+    // Heap-fallback capture replaces it.
+    std::array<char, 128> pad{};
+    pad[7] = 5;
+    auto big = [&hits, pad] { hits += pad[7]; };
+    static_assert(!EventCallback::storedInline<decltype(big)>());
+    cb.assign(big);
+    cb();
+    EXPECT_EQ(hits, 6);
+
+    // Non-trivial capture: destroyed exactly once, on replacement.
+    int alive = 0, calls = 0;
+    cb.assign(Counted(&alive, &calls));
+    EXPECT_EQ(alive, 1);   // only the stored copy survives the call
+    cb();
+    EXPECT_EQ(calls, 1);
+    cb.assign([&hits] { ++hits; });
+    EXPECT_EQ(alive, 0);
+    cb();
+    EXPECT_EQ(hits, 7);
+
+    // And on destruction of the holder.
+    {
+        EventCallback scoped;
+        scoped.assign(Counted(&alive, &calls));
+        EXPECT_EQ(alive, 1);
+    }
+    EXPECT_EQ(alive, 0);
+
+    // An EventCallback rvalue is moved in, not wrapped.
+    EventCallback src(Counted(&alive, &calls));
+    cb.assign(std::move(src));
+    EXPECT_FALSE(src);
+    EXPECT_EQ(alive, 1);
+    cb();
+    EXPECT_EQ(calls, 2);
+    cb.reset();
+    EXPECT_EQ(alive, 0);
+}
+
+TEST(EventQueue, ScheduledCallbacksDestroyedOnce)
+{
+    // Captures built in their slot die exactly once whether the event
+    // fires or is cancelled.
+    int alive = 0, calls = 0;
+    {
+        EventQueue eq;
+        eq.schedule(10, Counted(&alive, &calls));
+        EventId c = eq.schedule(20, Counted(&alive, &calls));
+        eq.scheduleIn(30, Counted(&alive, &calls));
+        EXPECT_EQ(alive, 3);
+        EXPECT_TRUE(eq.cancel(c));
+        EXPECT_EQ(alive, 2);
+        eq.runUntil(10);
+        EXPECT_EQ(calls, 1);
+        EXPECT_EQ(alive, 1);
+    }
+    // The queue's destructor drops the one still pending.
+    EXPECT_EQ(alive, 0);
+    EXPECT_EQ(calls, 1);
+}
+
+TEST(EventQueue, SchedulesEventCallbackRvalue)
+{
+    // The restore path rebuilds closures as EventCallbacks and hands
+    // them over by rvalue.
+    EventQueue eq;
+    std::vector<int> order;
+    EventCallback a([&order] { order.push_back(1); });
+    EventCallback b([&order] { order.push_back(2); });
+    eq.schedule(20, std::move(b));
+    eq.scheduleKeyed(10, eq.reserveKey(), std::move(a));
+    EXPECT_FALSE(a);
+    EXPECT_FALSE(b);
+    eq.runUntil();
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
